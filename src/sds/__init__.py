@@ -27,6 +27,7 @@ from .forms import (
     is_trivially_positive,
     parse_form,
     substitute_linear,
+    substitute_pwn,
 )
 from .geometry import Cell, cell_of_chain, locate_point, max_diameter_at_depth, squared_diameter
 from .matrices import (
@@ -76,6 +77,7 @@ __all__ = [
     "sds_matrix",
     "squared_diameter",
     "substitute_linear",
+    "substitute_pwn",
     "verify_certificate",
     "weighted_matrix",
     "yys_decide",

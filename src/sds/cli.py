@@ -8,6 +8,7 @@ Exit codes for decide/corpus: 0 positive semi-definite, 1 counterexample,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -94,15 +95,7 @@ def _read_source(args: argparse.Namespace) -> str:
 
 
 def _config_dict(cfg: EngineConfig) -> Dict[str, object]:
-    return {
-        "max_depth": cfg.max_depth,
-        "negativity_mode": cfg.negativity_mode,
-        "dedup": cfg.dedup,
-        "root_check": cfg.root_check,
-        "node_budget": cfg.node_budget,
-        "emit_certificate": cfg.emit_certificate,
-        "threads": cfg.threads,
-    }
+    return dataclasses.asdict(cfg)
 
 
 def _verdict_dict(verdict: Verdict, certificate_path: Optional[str]) -> Dict[str, object]:
@@ -343,6 +336,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ParseError, FormError, MatrixError, EngineError, OracleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .forms import (
@@ -26,6 +27,7 @@ from .forms import (
     is_trivially_negative,
     is_trivially_positive,
     substitute_linear,
+    substitute_pwn,
 )
 from .matrices import Chain, compose_chain, enumerate_pwn
 
@@ -48,15 +50,7 @@ class EngineConfig:
 
     def compat(self) -> "EngineConfig":
         """Variant reproducing the reference program's decision semantics."""
-        return EngineConfig(
-            max_depth=self.max_depth,
-            negativity_mode=COEFFS_MODE,
-            dedup=False,
-            root_check=False,
-            node_budget=self.node_budget,
-            emit_certificate=self.emit_certificate,
-            threads=self.threads,
-        )
+        return replace(self, negativity_mode=COEFFS_MODE, dedup=False, root_check=False)
 
 
 @dataclass(frozen=True)
@@ -99,10 +93,16 @@ def _validate_config(cfg: EngineConfig, n: int) -> None:
         raise EngineError("threads must be >= 1")
 
 
+def _pwn_perms(n: int) -> List[Tuple[int, ...]]:
+    """The permutations of 1..n, in the index order of enumerate_pwn(n)."""
+    enumerate_pwn(n)  # refuses n! beyond its limit
+    return list(permutations(range(1, n + 1)))
+
+
 def expand_once(f: Form) -> List[Tuple[int, Form]]:
     """The n! single-step substitution children, in enumeration order."""
-    mats = enumerate_pwn(f.nvars)
-    return [(i, substitute_linear(f, b)) for i, b in enumerate(mats, start=1)]
+    perms = _pwn_perms(f.nvars)
+    return [(i, substitute_pwn(f, p)) for i, p in enumerate(perms, start=1)]
 
 
 # a frontier node groups every chain currently carrying the same form;
@@ -125,8 +125,8 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
     _validate_config(cfg, n)
     if stats is None:
         stats = EngineStats()
-    mats = enumerate_pwn(n)
-    nfact = len(mats)
+    perms = _pwn_perms(n)
+    nfact = len(perms)
     bary = tuple(Fraction(1, n) for _ in range(n))
 
     if cfg.root_check and is_trivially_negative(f, cfg.negativity_mode):
@@ -140,7 +140,7 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
     generated = 0
 
     def expand(node: _Node) -> List[Form]:
-        return [substitute_linear(node.form, b) for b in mats]
+        return [substitute_pwn(node.form, p) for p in perms]
 
     executor = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
     try:
@@ -237,7 +237,7 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
         if not is_trivially_positive(form):
             return False
 
-    mats = enumerate_pwn(n)
+    perms = _pwn_perms(n)
     max_len = max(len(chain) for chain in cert_map)
     seen = set()
 
@@ -248,8 +248,8 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
         if len(chain) >= max_len:
             return False
         return all(
-            covered(chain + (i,), substitute_linear(form, b))
-            for i, b in enumerate(mats, start=1)
+            covered(chain + (i,), substitute_pwn(form, p))
+            for i, p in enumerate(perms, start=1)
         )
 
     return covered((), f) and len(seen) == len(cert_map)

@@ -411,6 +411,69 @@ def substitute_linear(f: Form, m) -> Form:
     return Form(n, f.degree, {e: Fraction(v, denom) for e, v in acc.items() if v})
 
 
+def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
+    """Expanded form g with g(T) = f(P_perm·W_n·T), without any matrix.
+
+    Equal to substitute_linear(f, sds_matrix(perm)), computed in integer
+    arithmetic from the structure of P·W_n: x_i = u_perm[i] (a relabel),
+    u_k = z_k + ... + z_n (the Taylor shifts u_k -> u_k + u_k+1 for
+    k = 1..n-1, in that order) and z_j = t_j / j (a diagonal scale).  With C
+    the lcm of the coefficient denominators and L = lcm(1..n), the
+    coefficient of t^e is v_e · prod (L/j)^e_j / (C·L^d), where v_e is the
+    coefficient of the shifted integer form.
+    """
+    n, d = f.nvars, f.degree
+    perm = tuple(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise FormError(f"not a permutation of 1..{n}: {perm}")
+    if f.is_zero():
+        return f
+
+    c = 1
+    for coef in f.terms.values():
+        c = c * coef.denominator // math.gcd(c, coef.denominator)
+    src = [0] * n  # position j of the relabelled exponent comes from src[j]
+    for i, p in enumerate(perm):
+        src[p - 1] = i
+    poly: Dict[Exponent, int] = {
+        tuple(exp[i] for i in src): coef.numerator * (c // coef.denominator)
+        for exp, coef in f.terms.items()
+    }
+
+    binom = [[1]]
+    for _ in range(d):
+        prev = binom[-1]
+        binom.append([1] + [a + b for a, b in zip(prev, prev[1:])] + [1])
+    for k in range(n - 1):
+        out: Dict[Exponent, int] = {}
+        get = out.get
+        for exp, v in poly.items():
+            a = exp[k]
+            if not a:
+                out[exp] = get(exp, 0) + v
+                continue
+            head, b, tail = exp[:k], exp[k + 1], exp[k + 2:]
+            for i, binom_ai in enumerate(binom[a]):
+                e = head + (i, b + a - i) + tail
+                out[e] = get(e, 0) + v * binom_ai
+        poly = out
+
+    big_l = math.lcm(*range(1, n + 1))
+    weights = [[1] for _ in range(n)]  # weights[j][e] = (L/(j+1))^e
+    for j, tab in enumerate(weights):
+        w = big_l // (j + 1)
+        for _ in range(d):
+            tab.append(tab[-1] * w)
+    denom = c * big_l ** d
+    terms: Dict[Exponent, Fraction] = {}
+    for exp, v in poly.items():
+        if v:
+            for tab, e in zip(weights, exp):
+                v *= tab[e]
+            terms[exp] = Fraction(v, denom)
+    return Form(n, d, terms)
+
+
 # ---------------------------------------------------------------------------
 # sign predicates
 # ---------------------------------------------------------------------------

@@ -40,16 +40,19 @@ def cell_of_chain(chain: Sequence[int], n: int) -> Cell:
     )
 
 
-def squared_diameter(cell: Cell) -> Fraction:
-    """Maximum squared Euclidean distance between vertex pairs."""
+def _squared_diameter(vs: Sequence[Point]) -> Fraction:
     best = Fraction(0)
-    vs = cell.vertices
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
             d = sum((a - b) ** 2 for a, b in zip(vs[i], vs[j]))
             if d > best:
                 best = d
     return best
+
+
+def squared_diameter(cell: Cell) -> Fraction:
+    """Maximum squared Euclidean distance between vertex pairs."""
+    return _squared_diameter(cell.vertices)
 
 
 def max_diameter_at_depth(n: int, m: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Fraction:
@@ -68,12 +71,7 @@ def max_diameter_at_depth(n: int, m: int, cell_budget: int = DEFAULT_CELL_BUDGET
     def walk(prod: SubMatrix, depth: int) -> None:
         nonlocal best
         if depth == m:
-            cols = [prod.column(j) for j in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d = sum((a - b) ** 2 for a, b in zip(cols[i], cols[j]))
-                    if d > best:
-                        best = d
+            best = max(best, _squared_diameter(tuple(prod.column(j) for j in range(n))))
             return
         for b in mats:
             walk(prod @ b, depth + 1)

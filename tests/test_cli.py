@@ -51,6 +51,12 @@ class TestDecide:
         assert code == 3
         assert "position" in err
 
+    def test_deep_nesting_exit3(self, capsys):
+        text = "(" * 3000 + "x" + ")" * 3000
+        code, _, err = run(capsys, "decide", text, "--vars", "x")
+        assert code == 3
+        assert err.startswith("error:")
+
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "form.txt"
         path.write_text(EXAMPLE1_TEXT + "\n")

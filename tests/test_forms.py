@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sds.corpus import EXAMPLE1_TEXT, EXAMPLE2_TEXT
+from sds.corpus import CORPUS_VARS, EXAMPLE1_TEXT, EXAMPLE2_TEXT, corpus_text
 from sds.forms import (
     Form,
     FormError,
@@ -14,8 +16,9 @@ from sds.forms import (
     is_trivially_positive,
     parse_form,
     substitute_linear,
+    substitute_pwn,
 )
-from sds.matrices import SubMatrix, compose_chain, enumerate_pwn
+from sds.matrices import SubMatrix, compose_chain, enumerate_pwn, sds_matrix
 
 from helpers import random_chain, random_form, random_point
 
@@ -161,6 +164,45 @@ class TestSubstitute:
         f = parse_form("x^2", XY)
         with pytest.raises(FormError):
             substitute_linear(f, SubMatrix.identity(3))
+
+
+@st.composite
+def forms(draw):
+    """Forms in 1..4 variables of degree 0..6 with signed rational coefficients."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 6))
+    monomials = []
+    for combo in combinations_with_replacement(range(n), d):
+        exp = [0] * n
+        for i in combo:
+            exp[i] += 1
+        monomials.append(tuple(exp))
+    coefs = st.fractions(min_value=-100, max_value=100, max_denominator=60)
+    terms = draw(st.dictionaries(st.sampled_from(monomials), coefs))
+    return Form(n, d, terms)  # zero coefficients dropped; {} is the zero form
+
+
+class TestSubstitutePwn:
+    @settings(max_examples=150, deadline=None)
+    @given(forms())
+    def test_equals_generic_substitution(self, f):
+        for perm in permutations(range(1, f.nvars + 1)):
+            assert substitute_pwn(f, perm) == substitute_linear(f, sds_matrix(perm))
+
+    def test_example3_p6_level1(self):
+        f = parse_form(corpus_text("example3-p6"), CORPUS_VARS)
+        for perm, b in zip(permutations(range(1, 4)), enumerate_pwn(3)):
+            assert substitute_pwn(f, perm) == substitute_linear(f, b)
+
+    def test_zero_form_unchanged(self):
+        f = Form(3, 4, {})
+        assert substitute_pwn(f, (2, 3, 1)) is f
+
+    @pytest.mark.parametrize("perm", [(1, 1, 2), (0, 1, 2), (1, 2, 4), (1, 2), (1, 2, 3, 4), ()])
+    def test_bad_perm_rejected(self, perm):
+        f = parse_form(EXAMPLE2_TEXT, XYZ)
+        with pytest.raises(FormError):
+            substitute_pwn(f, perm)
 
 
 class TestSignPredicates:
