@@ -4,9 +4,9 @@
         --workload refute --seeds 11-20 --out BENCH_<n>.json
 
 DIR is a checkout (e.g. from `git clone` at the parent commit).  For each
-seed, `perfbench/run.py --workload W --seed N` runs in the before checkout
-and then in the after checkout, so slow drift of the machine hits both
-sides alike.  The end-to-end metrics of every run are kept, and per metric
+seed, `perfbench/run.py --workload W --seed N` runs once in each checkout,
+the before side first on even pair indices and the after side first on
+odd ones, so slow drift of the machine hits both sides alike.  The end-to-end metrics of every run are kept, and per metric
 the file records both medians, the before side's interquartile range and
 how many pairs the after side won.  An existing output file gains the
 workload as a new key.
@@ -57,9 +57,11 @@ def main() -> None:
     args = ap.parse_args()
 
     pairs = []
-    for seed in seeds(args.seeds):
-        pair = {"seed": seed, "before": run(args.before, args.workload, seed),
-                "after": run(args.after, args.workload, seed)}
+    for k, seed in enumerate(seeds(args.seeds)):
+        sides = [("before", args.before), ("after", args.after)]
+        pair = {"seed": seed}
+        for side, checkout in sides if k % 2 == 0 else reversed(sides):
+            pair[side] = run(checkout, args.workload, seed)
         print(json.dumps(pair), flush=True)
         pairs.append(pair)
     metrics = {

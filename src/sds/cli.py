@@ -2,7 +2,7 @@
 
 Subcommands: decide, corpus, oracle, subdivision, verify-certificate.
 Exit codes for decide/corpus: 0 positive semi-definite, 1 counterexample,
-2 inconclusive, 3 usage or parse error.
+2 inconclusive, 3 any error (usage, parse, budget, internal), never a traceback.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .engine import (
     yys_decide,
 )
 from .forms import Form, FormError, ParseError, parse_form
-from .geometry import cell_of_chain, squared_diameter
+from .geometry import cell_count, cell_of_chain, squared_diameter
 from .matrices import MatrixError
 from .oracle import GridSpec, OracleError, grid_min, random_negative_search
 
@@ -254,6 +254,7 @@ def cmd_subdivision(args: argparse.Namespace) -> int:
     import math as _math
 
     n = args.nvars
+    cell_count(n, args.depth)  # refuses past the cell budget before any cell is built
     nfact = _math.factorial(n)
     cells = []
     for chain in product(range(1, nfact + 1), repeat=args.depth):
@@ -339,6 +340,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # last resort: no input may end in a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

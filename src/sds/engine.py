@@ -164,10 +164,10 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
                         children.append((chain + (i,), child))
             children.sort(key=lambda t: t[0])
 
-            sign_cache: Dict[tuple, str] = {}
+            sign_cache: Dict[Form, str] = {}
             live: List[Tuple[Chain, Form]] = []
             for chain, child in children:
-                kind = sign_cache.get(child.key())
+                kind = sign_cache.get(child)
                 if kind is None:
                     if is_trivially_negative(child, cfg.negativity_mode):
                         kind = "neg"
@@ -175,7 +175,7 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
                         kind = "pos"
                     else:
                         kind = "live"
-                    sign_cache[child.key()] = kind
+                    sign_cache[child] = kind
                 if kind == "neg":
                     point = compose_chain(chain, n).matvec(bary)
                     return Counterexample(chain=chain, point=point, value=evaluate(f, point))
@@ -191,11 +191,11 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
                 return PositiveSemidefinite(depth=depth, certificate=cert)
 
             if cfg.dedup:
-                grouped: Dict[tuple, _Node] = {}
+                grouped: Dict[Form, _Node] = {}
                 for chain, child in live:
-                    node = grouped.get(child.key())
+                    node = grouped.get(child)
                     if node is None:
-                        grouped[child.key()] = _Node(form=child, chains=[chain])
+                        grouped[child] = _Node(form=child, chains=[chain])
                     else:
                         node.chains.append(chain)
                         stats.dedup_collapsed += 1

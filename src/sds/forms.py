@@ -1,9 +1,9 @@
 """Exact sparse arithmetic for homogeneous polynomials (forms) over Q.
 
-A form is stored as a map from exponent tuples to non-zero Fraction
-coefficients; all exponent tuples share the same total degree.  The zero
-form is the empty map.  Everything here is exact: floating point never
-touches a coefficient.
+A form is stored as one positive integer denominator over a map from
+exponent tuples to non-zero integer numerators; all exponent tuples share
+the same total degree.  The zero form is the empty map.  Everything here is
+exact: floating point never touches a coefficient.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -32,11 +33,14 @@ class ParseError(ValueError):
 class Form:
     """Homogeneous polynomial with exact rational coefficients.
 
-    Immutable after construction.  Zero coefficients are dropped; a
+    Stored as one positive denominator `den` over integer numerators `nums`
+    (exponent -> non-zero int), in lowest terms: gcd(den, *nums) == 1.  That
+    representation is canonical, so two forms are equal exactly when their
+    (nvars, degree, den, nums) are.  Immutable after construction; a
     declared degree is kept even for the zero form.
     """
 
-    __slots__ = ("nvars", "degree", "terms", "_key")
+    __slots__ = ("nvars", "degree", "den", "nums", "_key", "_hash", "_terms")
 
     def __init__(self, nvars: int, degree: int, terms: Mapping[Exponent, Fraction]):
         if nvars < 1:
@@ -56,23 +60,46 @@ class Form:
                     f"monomial {exp} has degree {sum(exp)}, expected {degree}"
                 )
             clean[exp] = coef
-        self.nvars = nvars
-        self.degree = degree
-        self.terms = clean
-        self._key = (nvars, degree, tuple(sorted(clean.items())))
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._set(nvars, degree, den, {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
+
+    @classmethod
+    def _from_ints(cls, nvars: int, degree: int, den: int, nums: Mapping[Exponent, int]) -> "Form":
+        """The form sum nums[e]/den * t^e, for den > 0 and exponents already valid."""
+        self = cls.__new__(cls)
+        self._set(nvars, degree, den, nums)
+        return self
+
+    def _set(self, nvars: int, degree: int, den: int, nums: Mapping[Exponent, int]) -> None:
+        g = math.gcd(den, *nums.values())
+        self.nvars, self.degree, self.den = nvars, degree, den // g
+        self.nums = {e: v // g for e, v in nums.items() if v}
+        self._key = self._hash = self._terms = None
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Read-only view of the coefficients as Fractions, built on first use."""
+        if self._terms is None:
+            self._terms = MappingProxyType({e: Fraction(v, self.den) for e, v in self.nums.items()})
+        return self._terms
 
     def key(self) -> tuple:
-        """Canonical hashable identity (used for dedup and equality)."""
+        """Canonical hashable identity: equal forms, and only those, have equal keys."""
+        if self._key is None:
+            self._key = (self.nvars, self.degree, self.den, tuple(sorted(self.nums.items())))
         return self._key
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Form) and self._key == other._key
+        return self is other or isinstance(other, Form) and (
+            (self.den, self.nvars, self.degree, self.nums) == (other.den, other.nvars, other.degree, other.nums))
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        if self._hash is None:
+            self._hash = hash((self.nvars, self.degree, self.den, frozenset(self.nums.items())))
+        return self._hash
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
         """Terms in graded-lex order (descending lex; all degrees equal)."""
@@ -82,7 +109,7 @@ class Form:
         """Serialize as `coef*x^e*...` terms in graded-lex order."""
         if len(vars) != self.nvars:
             raise FormError("variable list length does not match nvars")
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for exp, coef in self.sorted_terms():
@@ -94,7 +121,7 @@ class Form:
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"Form(nvars={self.nvars}, degree={self.degree}, terms={len(self.terms)})"
+        return f"Form(nvars={self.nvars}, degree={self.degree}, terms={len(self.nums)})"
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +312,9 @@ def _mul(a: Dict[Exponent, Fraction], b: Dict[Exponent, Fraction], nvars: int) -
 
 
 def _pow(a: Dict[Exponent, Fraction], k: int, nvars: int) -> Dict[Exponent, Fraction]:
+    if len(a) == 1:  # a monomial's power scales its exponents; no products to expand
+        ((exp, c),) = a.items()
+        return {tuple(k * e for e in exp): c ** k}
     out = _const(Fraction(1), nvars)
     for _ in range(k):
         out = _mul(out, a, nvars)
@@ -317,22 +347,24 @@ def parse_form(text: str, vars: Sequence[str]) -> Form:
 # ---------------------------------------------------------------------------
 
 def evaluate(f: Form, p: Sequence) -> Fraction:
-    """Exact value of f at p (any sequence of rationals)."""
+    """Exact value of f at p (any sequence of rationals).
+
+    With B the lcm of the coordinate denominators, homogeneity gives
+    f(p) = sum nums[e] * prod (B*p_i)^e_i / (den * B^d), all in integers.
+    """
     if len(p) != f.nvars:
         raise FormError(f"point has {len(p)} coordinates, form has {f.nvars}")
     coords = [Fraction(x) for x in p]
+    big_b = math.lcm(*(x.denominator for x in coords))
+    ints = [x.numerator * (big_b // x.denominator) for x in coords]
     # per-variable power tables; exponents repeat heavily across monomials
-    pows: List[List[Fraction]] = [[Fraction(1)] for _ in coords]
-    total = Fraction(0)
-    for exp, coef in f.terms.items():
-        v = coef
-        for i, e in enumerate(exp):
-            tab = pows[i]
-            while len(tab) <= e:
-                tab.append(tab[-1] * coords[i])
+    pows = [[x ** k for k in range(f.degree + 1)] for x in ints]
+    total = 0
+    for exp, v in f.nums.items():
+        for tab, e in zip(pows, exp):
             v *= tab[e]
         total += v
-    return total
+    return Fraction(total, f.den * big_b ** f.degree)
 
 
 def _int_mul(a: Dict[Exponent, int], b: Dict[Exponent, int]) -> Dict[Exponent, int]:
@@ -352,8 +384,8 @@ def substitute_linear(f: Form, m) -> Form:
 
     `m` may be a SubMatrix or any sequence of rows of rationals.  The kernel
     clears denominators and runs in integer arithmetic: with S the lcm of
-    the matrix denominators and C the lcm of the coefficient denominators,
-    f(M·T) = (1/(C·S^d)) · f_C(S·M·T) where f_C has integer coefficients.
+    the matrix denominators and C = f.den, f(M·T) = (1/(C·S^d)) · f_C(S·M·T)
+    where f_C = f.nums has integer coefficients.
     """
     rows = getattr(m, "rows", m)
     n = f.nvars
@@ -367,9 +399,6 @@ def substitute_linear(f: Form, m) -> Form:
     for r in entries:
         for x in r:
             s = s * x.denominator // math.gcd(s, x.denominator)
-    c = 1
-    for coef in f.terms.values():
-        c = c * coef.denominator // math.gcd(c, coef.denominator)
 
     # integer linear images: variable i maps to row i of S·M
     zero = (0,) * n
@@ -394,10 +423,9 @@ def substitute_linear(f: Form, m) -> Form:
         return tab[k]
 
     acc: Dict[Exponent, int] = {}
-    for exp, coef in f.terms.items():
+    for exp, ic in f.nums.items():
         factors = [power(i, e) for i, e in enumerate(exp) if e]
         factors.sort(key=len)
-        ic = int(coef * c)
         if not factors:
             acc[zero] = acc.get(zero, 0) + ic
             continue
@@ -407,8 +435,7 @@ def substitute_linear(f: Form, m) -> Form:
         for e, v in prod.items():
             acc[e] = acc.get(e, 0) + ic * v
 
-    denom = c * s ** f.degree
-    return Form(n, f.degree, {e: Fraction(v, denom) for e, v in acc.items() if v})
+    return Form._from_ints(n, f.degree, f.den * s ** f.degree, acc)
 
 
 def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
@@ -417,10 +444,10 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
     Equal to substitute_linear(f, sds_matrix(perm)), computed in integer
     arithmetic from the structure of P·W_n: x_i = u_perm[i] (a relabel),
     u_k = z_k + ... + z_n (the Taylor shifts u_k -> u_k + u_k+1 for
-    k = 1..n-1, in that order) and z_j = t_j / j (a diagonal scale).  With C
-    the lcm of the coefficient denominators and L = lcm(1..n), the
-    coefficient of t^e is v_e · prod (L/j)^e_j / (C·L^d), where v_e is the
-    coefficient of the shifted integer form.
+    k = 1..n-1, in that order) and z_j = t_j / j (a diagonal scale).  With
+    C = f.den and L = lcm(1..n), the coefficient of t^e is
+    v_e · prod (L/j)^e_j / (C·L^d), where v_e is the coefficient of the
+    shifted integer form f.nums.
     """
     n, d = f.nvars, f.degree
     perm = tuple(perm)
@@ -429,15 +456,11 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
     if f.is_zero():
         return f
 
-    c = 1
-    for coef in f.terms.values():
-        c = c * coef.denominator // math.gcd(c, coef.denominator)
     src = [0] * n  # position j of the relabelled exponent comes from src[j]
     for i, p in enumerate(perm):
         src[p - 1] = i
     poly: Dict[Exponent, int] = {
-        tuple(exp[i] for i in src): coef.numerator * (c // coef.denominator)
-        for exp, coef in f.terms.items()
+        tuple([exp[i] for i in src]): v for exp, v in f.nums.items()
     }
 
     binom = [[1]]
@@ -464,14 +487,12 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
         w = big_l // (j + 1)
         for _ in range(d):
             tab.append(tab[-1] * w)
-    denom = c * big_l ** d
-    terms: Dict[Exponent, Fraction] = {}
     for exp, v in poly.items():
         if v:
             for tab, e in zip(weights, exp):
                 v *= tab[e]
-            terms[exp] = Fraction(v, denom)
-    return Form(n, d, terms)
+            poly[exp] = v
+    return Form._from_ints(n, d, f.den * big_l ** d, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +506,7 @@ NEGATIVITY_MODES = (VALUE_MODE, COEFFS_MODE)
 
 def is_trivially_positive(f: Form) -> bool:
     """True iff every coefficient is non-negative (zero form included)."""
-    return all(c >= 0 for c in f.terms.values())
+    return all(v >= 0 for v in f.nums.values())
 
 
 def is_trivially_negative(f: Form, mode: str = VALUE_MODE) -> bool:
@@ -493,12 +514,13 @@ def is_trivially_negative(f: Form, mode: str = VALUE_MODE) -> bool:
 
     value mode: f(1,...,1) < 0, i.e. the coefficient sum is negative.
     coeffs mode: f is non-zero and every coefficient is negative (the
-    stricter test; implies value mode).
+    stricter test; implies value mode).  Numerators carry the signs, as
+    f.den > 0.
     """
     if mode == VALUE_MODE:
-        return sum(f.terms.values()) < 0
+        return sum(f.nums.values()) < 0
     if mode == COEFFS_MODE:
-        return bool(f.terms) and all(c < 0 for c in f.terms.values())
+        return bool(f.nums) and all(v < 0 for v in f.nums.values())
     raise ValueError(f"unknown negativity mode {mode!r}")
 
 
@@ -509,7 +531,7 @@ def is_nonlacunary_positive(f: Form) -> bool:
         exp = [0] * n
         for i in combo:
             exp[i] += 1
-        if f.terms.get(tuple(exp), Fraction(0)) <= 0:
+        if f.nums.get(tuple(exp), 0) <= 0:
             return False
     return True
 

@@ -8,7 +8,6 @@ no square roots are needed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -55,16 +54,26 @@ def squared_diameter(cell: Cell) -> Fraction:
     return _squared_diameter(cell.vertices)
 
 
+def cell_count(n: int, m: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
+    """(n!)^m, the number of depth-m cells, multiplied up one factor at a time
+    and refused (GeometryError) as soon as it passes cell_budget."""
+    if m < 0:
+        raise GeometryError("depth must be non-negative")
+    count = 1
+    for _ in range(m if n > 1 else 0):
+        for k in range(2, n + 1):
+            count *= k
+            if count > cell_budget:
+                raise GeometryError(f"(n!)^m = ({n}!)^{m} exceeds cell budget {cell_budget}")
+    return count
+
+
 def max_diameter_at_depth(n: int, m: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Fraction:
     """Maximum squared diameter over all (n!)^m depth-m cells.
 
     Walks the chain tree depth-first, reusing prefix products.
     """
-    if m < 0:
-        raise GeometryError("depth must be non-negative")
-    count = math.factorial(n) ** m
-    if count > cell_budget:
-        raise GeometryError(f"(n!)^m = {count} exceeds cell budget {cell_budget}")
+    cell_count(n, m, cell_budget)
     mats = enumerate_pwn(n)
     best = Fraction(0)
 

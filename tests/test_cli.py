@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sds import cli
 from sds.cli import main
 from sds.corpus import EXAMPLE1_TEXT, EXAMPLE2_TEXT
 
@@ -192,6 +193,16 @@ class TestSubdivision:
         assert cells[0]["squared_diameter"] == "2"
 
 
+    def test_cell_budget_refused_before_any_cell(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "cell_of_chain", lambda *a: built.append(a))
+        # (3!)^8 = 1,679,616 cells, past geometry.DEFAULT_CELL_BUDGET
+        code, out, err = run(capsys, "subdivision", "--nvars", "3", "--depth", "8")
+        assert code == 3
+        assert err.startswith("error:") and "budget" in err
+        assert out == "" and built == []
+
+
 class TestUsage:
     def test_usage_error_exit3(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -202,3 +213,13 @@ class TestUsage:
         code, _, err = run(capsys, "decide", "--vars", "x,y")
         assert code == 3
         assert "no polynomial" in err
+
+    def test_unexpected_exception_exit3_without_traceback(self, capsys, monkeypatch):
+        def boom(args):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "cmd_decide", boom)
+        code, _, err = run(capsys, "decide", "x", "--vars", "x")
+        assert code == 3
+        assert err.startswith("error:") and "KeyError" in err
+        assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -44,6 +45,11 @@ class TestParse:
     def test_nested_signs_and_parens(self):
         f = parse_form("-(x - y)^2 + x^2 + y^2", XY)
         assert f.terms == {(1, 1): Fraction(2)}
+
+    def test_power_of_monomial(self):
+        assert parse_form("(2*x*y^2)^3 - 8*x^3*y^6", XY).is_zero()
+        assert parse_form("(-1/2*x)^3", XY).terms == {(3, 0): Fraction(-1, 8)}
+        assert parse_form("(x*y)^0", XY).terms == {(0, 0): Fraction(1)}
 
     def test_non_homogeneous_rejected(self):
         with pytest.raises(FormError, match="homogeneous"):
@@ -166,20 +172,81 @@ class TestSubstitute:
             substitute_linear(f, SubMatrix.identity(3))
 
 
+def monomials(n, d):
+    """The degree-d exponent vectors in n variables."""
+    out = []
+    for combo in combinations_with_replacement(range(n), d):
+        exp = [0] * n
+        for i in combo:
+            exp[i] += 1
+        out.append(tuple(exp))
+    return out
+
+
 @st.composite
 def forms(draw):
     """Forms in 1..4 variables of degree 0..6 with signed rational coefficients."""
     n = draw(st.integers(1, 4))
     d = draw(st.integers(0, 6))
-    monomials = []
-    for combo in combinations_with_replacement(range(n), d):
-        exp = [0] * n
-        for i in combo:
-            exp[i] += 1
-        monomials.append(tuple(exp))
     coefs = st.fractions(min_value=-100, max_value=100, max_denominator=60)
-    terms = draw(st.dictionaries(st.sampled_from(monomials), coefs))
+    terms = draw(st.dictionaries(st.sampled_from(monomials(n, d)), coefs))
     return Form(n, d, terms)  # zero coefficients dropped; {} is the zero form
+
+
+def fraction_value(f, p):
+    """Reference evaluation: sum of coef * prod x^e over the Fraction view."""
+    coords = [Fraction(x) for x in p]
+    total = Fraction(0)
+    for exp, coef in f.terms.items():
+        for x, e in zip(coords, exp):
+            coef *= x ** e
+        total += coef
+    return total
+
+
+coordinates = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-20, max_value=20, max_denominator=40),
+    st.tuples(st.integers(-30, 30), st.integers(1, 40)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+
+
+class TestIntegerForm:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_integer_constructor_equals_fraction_constructor(self, data):
+        n = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(0, 5))
+        den = data.draw(st.integers(1, 10**6))
+        factor = data.draw(st.integers(1, 10**4))
+        nums = data.draw(st.dictionaries(st.sampled_from(monomials(n, d)), st.integers(-10**6, 10**6)))
+        f = Form._from_ints(n, d, den * factor, {e: v * factor for e, v in nums.items()})
+        g = Form(n, d, {e: Fraction(v, den) for e, v in nums.items()})
+        assert f == g and hash(f) == hash(g) and f.key() == g.key()
+        assert f.den > 0 and math.gcd(f.den, *f.nums.values()) == 1
+        assert all(f.nums.values())
+        assert f.terms == {e: Fraction(v, den) for e, v in nums.items() if v}
+
+    @settings(max_examples=150, deadline=None)
+    @given(forms())
+    def test_round_trip_through_terms(self, f):
+        g = Form(f.nvars, f.degree, f.terms)
+        assert g == f and hash(g) == hash(f) and g.key() == f.key()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_evaluate_equals_fraction_reference(self, data):
+        f = data.draw(forms())
+        p = data.draw(st.lists(coordinates, min_size=f.nvars, max_size=f.nvars))
+        assert evaluate(f, p) == fraction_value(f, p)
+
+    def test_zero_form_evaluates_to_zero(self):
+        assert evaluate(Form(3, 4, {}), ("1/3", 0, Fraction(2, 3))) == 0
+
+    def test_terms_view_is_read_only(self):
+        f = parse_form("1/2*x^2 + 3/4*y^2", XY)
+        with pytest.raises(TypeError):
+            f.terms[(2, 0)] = Fraction(1)
 
 
 class TestSubstitutePwn:

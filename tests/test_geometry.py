@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,6 +8,7 @@ import pytest
 from sds.geometry import (
     Cell,
     GeometryError,
+    cell_count,
     cell_of_chain,
     locate_point,
     max_diameter_at_depth,
@@ -76,6 +78,14 @@ class TestMaxDiameterAtDepth:
     def test_budget(self):
         with pytest.raises(GeometryError, match="budget"):
             max_diameter_at_depth(3, 4, cell_budget=100)
+
+    def test_cell_count_is_the_budget_rule(self):
+        for n in range(1, 5):
+            for m in range(4):
+                assert cell_count(n, m) == math.factorial(n) ** m
+        assert cell_count(3, 2, cell_budget=36) == 36
+        with pytest.raises(GeometryError, match="budget"):
+            cell_count(3, 2, cell_budget=35)
 
 
 class TestLocatePoint:
