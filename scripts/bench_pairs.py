@@ -6,10 +6,11 @@
 DIR is a checkout (e.g. from `git clone` at the parent commit).  For each
 seed, `perfbench/run.py --workload W --seed N` runs once in each checkout,
 the before side first on even pair indices and the after side first on
-odd ones, so slow drift of the machine hits both sides alike.  The end-to-end metrics of every run are kept, and per metric
-the file records both medians, the before side's interquartile range and
-how many pairs the after side won.  An existing output file gains the
-workload as a new key.
+odd ones, so slow drift of the machine hits both sides alike.  The
+end-to-end metrics of every run are kept, and per metric the file records
+both medians, the before side's interquartile range and how many pairs the
+after side won.  An existing output file gains the workload as a new key.
+A run that exits non-zero stops the script with the tail of its stderr.
 """
 
 from __future__ import annotations
@@ -24,11 +25,14 @@ import sys
 
 
 def run(checkout: str, workload: str, seed: int) -> dict:
-    out = subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    ).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.strip().splitlines()[-3:])
+        raise SystemExit(f"{checkout}: workload {workload} seed {seed} exited {proc.returncode}:\n{tail}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{checkout}: workload {workload} seed {seed} failed its checks")
     return {name: m["value"] for name, m in result["metrics"].items()}

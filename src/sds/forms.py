@@ -312,9 +312,6 @@ def _mul(a: Dict[Exponent, Fraction], b: Dict[Exponent, Fraction], nvars: int) -
 
 
 def _pow(a: Dict[Exponent, Fraction], k: int, nvars: int) -> Dict[Exponent, Fraction]:
-    if len(a) == 1:  # a monomial's power scales its exponents; no products to expand
-        ((exp, c),) = a.items()
-        return {tuple(k * e for e in exp): c ** k}
     out = _const(Fraction(1), nvars)
     for _ in range(k):
         out = _mul(out, a, nvars)
@@ -487,12 +484,15 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
         w = big_l // (j + 1)
         for _ in range(d):
             tab.append(tab[-1] * w)
+    # one Fraction per coefficient on the way out (ROADMAP item 2: Form._from_ints)
+    denom = f.den * big_l ** d
+    terms: Dict[Exponent, Fraction] = {}
     for exp, v in poly.items():
         if v:
             for tab, e in zip(weights, exp):
                 v *= tab[e]
-            poly[exp] = v
-    return Form._from_ints(n, d, f.den * big_l ** d, poly)
+            terms[exp] = Fraction(v, denom)
+    return Form(n, d, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,6 @@ class TestSubdivision:
         assert len(cells) == 1
         assert cells[0]["squared_diameter"] == "2"
 
-
     def test_cell_budget_refused_before_any_cell(self, capsys, monkeypatch):
         built = []
         monkeypatch.setattr(cli, "cell_of_chain", lambda *a: built.append(a))
