@@ -9,7 +9,10 @@ the before side first on even pair indices and the after side first on
 odd ones, so slow drift of the machine hits both sides alike.  The
 end-to-end metrics of every run are kept, and per metric the file records
 both medians, the before side's interquartile range and how many pairs the
-after side won.  An existing output file gains the workload as a new key.
+after side won.  Each run's first pass time (the first figure of the
+`wall_s ... passes:` line) is kept too, and the smallest per side is
+recorded: `run.py` fails when a first pass ends before its first reference
+sample at 0.25 s.  An existing output file gains the workload as a new key.
 A run that exits non-zero stops the script with the tail of its stderr.
 """
 
@@ -24,7 +27,7 @@ import subprocess
 import sys
 
 
-def run(checkout: str, workload: str, seed: int) -> dict:
+def run(checkout: str, workload: str, seed: int) -> tuple:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True,
@@ -35,7 +38,9 @@ def run(checkout: str, workload: str, seed: int) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{checkout}: workload {workload} seed {seed} failed its checks")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    wall = next(line for line in proc.stdout.splitlines() if line.strip().startswith("wall_s"))
+    first_pass = float(wall.split("passes:")[1].split()[0])
+    return {name: m["value"] for name, m in result["metrics"].items()}, first_pass
 
 
 def seeds(spec: str) -> list:
@@ -63,9 +68,9 @@ def main() -> None:
     pairs = []
     for k, seed in enumerate(seeds(args.seeds)):
         sides = [("before", args.before), ("after", args.after)]
-        pair = {"seed": seed}
+        pair = {"seed": seed, "first_pass_s": {}}
         for side, checkout in sides if k % 2 == 0 else reversed(sides):
-            pair[side] = run(checkout, args.workload, seed)
+            pair[side], pair["first_pass_s"][side] = run(checkout, args.workload, seed)
         print(json.dumps(pair), flush=True)
         pairs.append(pair)
     metrics = {
@@ -78,7 +83,10 @@ def main() -> None:
             doc = json.load(fh)
     doc["env"] = {"python": platform.python_version(), "machine": platform.machine(),
                   "cpus": os.cpu_count()}
-    doc[args.workload] = {"pairs": pairs, "summary": metrics}
+    doc[args.workload] = {
+        "pairs": pairs, "summary": metrics,
+        "min_first_pass_s": {side: min(p["first_pass_s"][side] for p in pairs) for side in ("before", "after")},
+    }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -3,6 +3,8 @@
 Subcommands: decide, corpus, oracle, subdivision, verify-certificate.
 Exit codes for decide/corpus: 0 positive semi-definite, 1 counterexample,
 2 inconclusive, 3 any error (usage, parse, budget, internal), never a traceback.
+oracle follows the same contract: 1 when it finds a negative value, else 2,
+since sampling proves nothing.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--certificate-out", metavar="PATH", default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
@@ -70,7 +71,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
     if budget is None:
         env = os.environ.get(NODE_BUDGET_ENV)
         budget = int(env) if env else 10**6
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     cfg = EngineConfig(
         max_depth=args.max_depth,
         negativity_mode=args.negativity_mode,
@@ -78,7 +78,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         root_check=not args.no_root_check,
         node_budget=budget,
         emit_certificate=args.certificate_out is not None,
-        threads=threads,
     )
     if args.compat:
         cfg = cfg.compat()
@@ -95,7 +94,7 @@ def _read_source(args: argparse.Namespace) -> str:
 
 
 def _config_dict(cfg: EngineConfig) -> Dict[str, object]:
-    return dataclasses.asdict(cfg)
+    return {**dataclasses.asdict(cfg), "threads": cfg.threads}
 
 
 def _verdict_dict(verdict: Verdict, certificate_path: Optional[str]) -> Dict[str, object]:
@@ -223,7 +222,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             print(json.dumps(out, indent=2))
         else:
             print(f"grid min {value} at ({', '.join(str(x) for x in point)})")
-        return EXIT_PSD
+        return EXIT_COUNTEREXAMPLE if value < 0 else EXIT_INCONCLUSIVE
     hit = random_negative_search(form, args.random_trials, args.seed)
     if args.format == "json":
         if hit is None:
@@ -246,7 +245,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         else:
             point, value = hit
             print(f"negative value {value} at ({', '.join(str(x) for x in point)})")
-    return EXIT_PSD
+    return EXIT_INCONCLUSIVE if hit is None else EXIT_COUNTEREXAMPLE
 
 
 def cmd_subdivision(args: argparse.Namespace) -> int:
@@ -337,9 +336,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ParseError, FormError, MatrixError, EngineError, OracleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except RecursionError:
-        print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # last resort: no input may end in a traceback
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ make non-termination a first-class Inconclusive outcome.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
@@ -46,7 +45,11 @@ class EngineConfig:
     root_check: bool = True
     node_budget: int = 10**6
     emit_certificate: bool = False
-    threads: int = 1
+
+    @property
+    def threads(self) -> int:
+        """Always 1: the engine runs on the calling thread (the report echoes it)."""
+        return 1
 
     def compat(self) -> "EngineConfig":
         """Variant reproducing the reference program's decision semantics."""
@@ -77,6 +80,10 @@ Verdict = Union[PositiveSemidefinite, Counterexample, Inconclusive]
 
 @dataclass
 class EngineStats:
+    """`forms_expanded` counts the children each layer is budgeted for: n!
+    per frontier form (per distinct form with dedup), also when a
+    counterexample ends the layer early."""
+
     forms_expanded: int = 0
     forms_pruned: int = 0
     dedup_collapsed: int = 0
@@ -89,8 +96,6 @@ def _validate_config(cfg: EngineConfig, n: int) -> None:
         raise EngineError(f"unknown negativity mode {cfg.negativity_mode!r}")
     if cfg.node_budget < math.factorial(n):
         raise EngineError("node_budget must be at least n!")
-    if cfg.threads < 1:
-        raise EngineError("threads must be >= 1")
 
 
 def _pwn_perms(n: int) -> List[Tuple[int, ...]]:
@@ -103,14 +108,6 @@ def expand_once(f: Form) -> List[Tuple[int, Form]]:
     """The n! single-step substitution children, in enumeration order."""
     perms = _pwn_perms(f.nvars)
     return [(i, substitute_pwn(f, p)) for i, p in enumerate(perms, start=1)]
-
-
-# a frontier node groups every chain currently carrying the same form;
-# without dedup each node holds exactly one chain
-@dataclass
-class _Node:
-    form: Form
-    chains: List[Chain]  # sorted; chains[0] is the lex-minimal one
 
 
 def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[EngineStats] = None) -> Verdict:
@@ -126,7 +123,6 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
     if stats is None:
         stats = EngineStats()
     perms = _pwn_perms(n)
-    nfact = len(perms)
     bary = tuple(Fraction(1, n) for _ in range(n))
 
     if cfg.root_check and is_trivially_negative(f, cfg.negativity_mode):
@@ -135,82 +131,57 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
         cert = ((((), f)),) if cfg.emit_certificate else None
         return PositiveSemidefinite(depth=0, certificate=cert)
 
-    frontier: List[_Node] = [_Node(form=f, chains=[()])]
+    # (chain, form) pairs in lex chain order: children visited parent by parent
+    # are in that order too.  With dedup a repeated form stays only for its
+    # certificate chains; `nodes` counts the forms a layer is budgeted for.
+    frontier: List[Tuple[Chain, Form]] = [((), f)]
+    nodes = 1
     cert_entries: List[Tuple[Chain, Form]] = []
     generated = 0
 
-    def expand(node: _Node) -> List[Form]:
-        return [substitute_pwn(node.form, p) for p in perms]
+    for depth in range(1, cfg.max_depth + 1):
+        want = nodes * len(perms)
+        if generated + want > cfg.node_budget:
+            return Inconclusive(depth_reached=depth - 1, live_forms=nodes)
+        generated += want
+        stats.forms_expanded += want
 
-    executor = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
-    try:
-        for depth in range(1, cfg.max_depth + 1):
-            want = len(frontier) * nfact
-            if generated + want > cfg.node_budget:
-                return Inconclusive(depth_reached=depth - 1, live_forms=len(frontier))
-            generated += want
-
-            if executor is not None:
-                expansions = list(executor.map(expand, frontier))
-            else:
-                expansions = [expand(node) for node in frontier]
-            stats.forms_expanded += want
-
-            # flat child list in lexicographic (parent chain, index) order
-            children: List[Tuple[Chain, Form]] = []
-            for node, kids in zip(frontier, expansions):
-                for chain in node.chains:
-                    for i, child in enumerate(kids, start=1):
-                        children.append((chain + (i,), child))
-            children.sort(key=lambda t: t[0])
-
-            sign_cache: Dict[Form, str] = {}
-            live: List[Tuple[Chain, Form]] = []
-            for chain, child in children:
-                kind = sign_cache.get(child)
-                if kind is None:
-                    if is_trivially_negative(child, cfg.negativity_mode):
-                        kind = "neg"
-                    elif is_trivially_positive(child):
-                        kind = "pos"
-                    else:
-                        kind = "live"
-                    sign_cache[child] = kind
-                if kind == "neg":
-                    point = compose_chain(chain, n).matvec(bary)
-                    return Counterexample(chain=chain, point=point, value=evaluate(f, point))
-                if kind == "pos":
+        expanded: Dict[Form, List[Tuple[Form, bool, bool]]] = {}
+        seen = set()
+        live: List[Tuple[Chain, Form]] = []
+        nodes = collapsed = 0
+        for chain, form in frontier:
+            kids = expanded.setdefault(form, [])
+            for i, p in enumerate(perms):
+                if i == len(kids):  # a form is expanded on its first visit only
+                    child = substitute_pwn(form, p)
+                    kids.append((child, is_trivially_negative(child, cfg.negativity_mode),
+                                 is_trivially_positive(child)))
+                child, negative, positive = kids[i]
+                child_chain = chain + (i + 1,)
+                if negative:
+                    point = compose_chain(child_chain, n).matvec(bary)
+                    return Counterexample(chain=child_chain, point=point, value=evaluate(f, point))
+                if positive:
                     stats.forms_pruned += 1
                     if cfg.emit_certificate:
-                        cert_entries.append((chain, child))
+                        cert_entries.append((child_chain, child))
+                elif cfg.dedup and child in seen:
+                    collapsed += 1
+                    if cfg.emit_certificate:
+                        live.append((child_chain, child))
                 else:
-                    live.append((chain, child))
+                    seen.add(child)
+                    nodes += 1
+                    live.append((child_chain, child))
 
-            if not live:
-                cert = tuple(cert_entries) if cfg.emit_certificate else None
-                return PositiveSemidefinite(depth=depth, certificate=cert)
+        if not live:
+            cert = tuple(cert_entries) if cfg.emit_certificate else None
+            return PositiveSemidefinite(depth=depth, certificate=cert)
+        stats.dedup_collapsed += collapsed
+        frontier = live
 
-            if cfg.dedup:
-                grouped: Dict[Form, _Node] = {}
-                for chain, child in live:
-                    node = grouped.get(child)
-                    if node is None:
-                        grouped[child] = _Node(form=child, chains=[chain])
-                    else:
-                        node.chains.append(chain)
-                        stats.dedup_collapsed += 1
-                frontier = sorted(grouped.values(), key=lambda nd: nd.chains[0])
-                if not cfg.emit_certificate:
-                    # duplicate chains are only needed for certificates
-                    for node in frontier:
-                        del node.chains[1:]
-            else:
-                frontier = [_Node(form=child, chains=[chain]) for chain, child in live]
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-    return Inconclusive(depth_reached=cfg.max_depth, live_forms=len(frontier))
+    return Inconclusive(depth_reached=cfg.max_depth, live_forms=nodes)
 
 
 def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:

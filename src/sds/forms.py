@@ -129,6 +129,9 @@ class Form:
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*^()/")
+# parentheses deeper than this are refused; each level costs the parser four
+# stack frames, well inside the interpreter's recursion limit
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -176,6 +179,7 @@ class _Parser:
     def __init__(self, text: str, vars: Sequence[str]):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
         self.nvars = len(vars)
         self.varindex = {name: i for i, name in enumerate(vars)}
 
@@ -269,8 +273,12 @@ class _Parser:
             exp[self.varindex[val]] = 1
             return {tuple(exp): Fraction(1)}
         if kind == "op" and val == "(":
+            if self.nesting == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.nesting += 1
             poly = self.expr()
             self.expect_op(")")
+            self.nesting -= 1
             return poly
         raise ParseError(f"unexpected {val or 'end of input'!r}", at)
 

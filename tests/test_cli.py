@@ -58,6 +58,13 @@ class TestDecide:
         assert code == 3
         assert err.startswith("error:")
 
+    def test_nesting_limit(self, capsys):
+        code, out, _ = run(capsys, "decide", "(" * 100 + "x" + ")" * 100, "--vars", "x")
+        assert code == 0 and "positive semi-definite" in out
+        code, _, err = run(capsys, "decide", "(" * 101 + "x" + ")" * 101, "--vars", "x")
+        assert code == 3
+        assert err.startswith("error:") and "nested deeper than 100 (at position 100)" in err
+
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "form.txt"
         path.write_text(EXAMPLE1_TEXT + "\n")
@@ -148,7 +155,7 @@ class TestOracle:
             capsys, "oracle", EXAMPLE2_TEXT, "--vars", "x,y,z",
             "--grid-denominator", "3", "--format", "json",
         )
-        assert code == 0
+        assert code == 1
         report = json.loads(out)
         assert report["min"].startswith("-")
         assert len(report["argmin"]) == 3
@@ -158,7 +165,7 @@ class TestOracle:
             capsys, "oracle", EXAMPLE2_TEXT, "--vars", "x,y,z",
             "--random-trials", "500", "--seed", "0", "--format", "json",
         )
-        assert code == 0
+        assert code == 1
         report = json.loads(out)
         assert report["found"] is True
         assert report["value"].startswith("-")
@@ -168,8 +175,13 @@ class TestOracle:
             capsys, "oracle", "(x + y)^2", "--vars", "x,y",
             "--random-trials", "50", "--format", "json",
         )
-        assert code == 0
+        assert code == 2
         assert json.loads(out) == {"found": False}
+
+    def test_nonnegative_grid_min_exit2(self, capsys):
+        code, out, _ = run(capsys, "oracle", "(x + y)^2", "--vars", "x,y", "--grid-denominator", "4")
+        assert code == 2
+        assert out.startswith("grid min 1 ")
 
 
 class TestSubdivision:
@@ -207,6 +219,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["decide"])  # missing --vars
         assert exc.value.code == 3
+
+    def test_threads_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decide", "x", "--vars", "x", "--threads", "2"])
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_missing_polynomial(self, capsys):
         code, _, err = run(capsys, "decide", "--vars", "x,y")

@@ -120,8 +120,6 @@ class TestDecideBasics:
             yys_decide(example1, EngineConfig(negativity_mode="bogus"))
         with pytest.raises(EngineError):
             yys_decide(example1, EngineConfig(node_budget=2))
-        with pytest.raises(EngineError):
-            yys_decide(example1, EngineConfig(threads=0))
 
 
 class TestModeAndDedupSemantics:
@@ -151,11 +149,11 @@ class TestModeAndDedupSemantics:
         cfg = EngineConfig().compat()
         assert yys_decide(example2, cfg) == yys_decide(example2, cfg)
 
-    def test_thread_count_does_not_change_verdict(self, example1, example2):
-        for f in (example1, example2):
-            assert yys_decide(f, EngineConfig(threads=1)) == yys_decide(
-                f, EngineConfig(threads=8)
-            )
+    def test_threads_is_a_fixed_report_echo(self):
+        with pytest.raises(TypeError):
+            EngineConfig(threads=2)
+        assert EngineConfig().threads == 1
+        assert EngineConfig().compat().threads == 1
 
     def test_engine_soundness_against_grid(self, example1):
         v = yys_decide(example1)
@@ -172,6 +170,36 @@ class TestModeAndDedupSemantics:
             for idx in chain:
                 stepwise = expand_once(stepwise)[idx - 1][1]
             assert stepwise == substitute_linear(example1, compose_chain(chain, 3))
+
+
+# (forms_expanded, forms_pruned, dedup_collapsed) as the engine counted them
+# before it streamed each layer: budgeted children, pruned (chain, child)
+# pairs, and the collapses of finished layers only
+@pytest.mark.parametrize(
+    "dedup, cert, stats",
+    [(True, False, (60, 12, 7)), (True, True, (60, 24, 17)),
+     (False, False, (162, 24, 0)), (False, True, (162, 24, 0))],
+)
+def test_counterexample_stats(dedup, cert, stats):
+    f = parse_form("(x-y)^2 - 1/50*(x+y+z)^2", XYZ)
+    cfg = EngineConfig(root_check=False, negativity_mode="coeffs", dedup=dedup, emit_certificate=cert)
+    st = EngineStats()
+    v = yys_decide(f, cfg, st)
+    assert isinstance(v, Counterexample) and v.chain == (1, 5, 1)
+    assert (st.forms_expanded, st.forms_pruned, st.dedup_collapsed) == stats
+
+
+@pytest.mark.parametrize(
+    "dedup, cert, live, stats",
+    [(True, False, 192, (642, 343, 1)), (True, True, 192, (642, 682, 298)),
+     (False, False, 384, (1278, 682, 0)), (False, True, 384, (1278, 682, 0))],
+)
+def test_inconclusive_stats(dedup, cert, live, stats):
+    f = parse_form("(x+y-2*z)^2", XYZ)
+    st = EngineStats()
+    v = yys_decide(f, EngineConfig(max_depth=6, dedup=dedup, emit_certificate=cert), st)
+    assert v == Inconclusive(depth_reached=6, live_forms=live)
+    assert (st.forms_expanded, st.forms_pruned, st.dedup_collapsed) == stats
 
 
 class TestCertificates:
