@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .forms import (
@@ -28,7 +27,7 @@ from .forms import (
     substitute_linear,
     substitute_pwn,
 )
-from .matrices import Chain, compose_chain, enumerate_pwn
+from .matrices import Chain, barycenter_image, compose_chain, pwn_perms
 
 Certificate = Tuple[Tuple[Chain, Form], ...]
 
@@ -98,15 +97,9 @@ def _validate_config(cfg: EngineConfig, n: int) -> None:
         raise EngineError("node_budget must be at least n!")
 
 
-def _pwn_perms(n: int) -> List[Tuple[int, ...]]:
-    """The permutations of 1..n, in the index order of enumerate_pwn(n)."""
-    enumerate_pwn(n)  # refuses n! beyond its limit
-    return list(permutations(range(1, n + 1)))
-
-
 def expand_once(f: Form) -> List[Tuple[int, Form]]:
     """The n! single-step substitution children, in enumeration order."""
-    perms = _pwn_perms(f.nvars)
+    perms = pwn_perms(f.nvars)
     return [(i, substitute_pwn(f, p)) for i, p in enumerate(perms, start=1)]
 
 
@@ -122,7 +115,7 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
     _validate_config(cfg, n)
     if stats is None:
         stats = EngineStats()
-    perms = _pwn_perms(n)
+    perms = pwn_perms(n)
     bary = tuple(Fraction(1, n) for _ in range(n))
 
     if cfg.root_check and is_trivially_negative(f, cfg.negativity_mode):
@@ -160,7 +153,7 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
                 child, negative, positive = kids[i]
                 child_chain = chain + (i + 1,)
                 if negative:
-                    point = compose_chain(child_chain, n).matvec(bary)
+                    point = barycenter_image(child_chain, n)
                     return Counterexample(chain=child_chain, point=point, value=evaluate(f, point))
                 if positive:
                     stats.forms_pruned += 1
@@ -208,19 +201,19 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
         if not is_trivially_positive(form):
             return False
 
-    perms = _pwn_perms(n)
+    # depth first in index order; a node is substituted only to expand it
+    perms = pwn_perms(n)
     max_len = max(len(chain) for chain in cert_map)
     seen = set()
-
-    def covered(chain: Chain, form: Form) -> bool:
+    stack: List[Tuple[Chain, Form, Optional[Tuple[int, ...]]]] = [((), f, None)]
+    while stack:
+        chain, form, perm = stack.pop()
         if chain in cert_map:
             seen.add(chain)
-            return True
+            continue
         if len(chain) >= max_len:
             return False
-        return all(
-            covered(chain + (i,), substitute_pwn(form, p))
-            for i, p in enumerate(perms, start=1)
-        )
-
-    return covered((), f) and len(seen) == len(cert_map)
+        if perm is not None:
+            form = substitute_pwn(form, perm)
+        stack.extend((chain + (i,), form, perms[i - 1]) for i in range(len(perms), 0, -1))
+    return len(seen) == len(cert_map)

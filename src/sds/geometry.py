@@ -2,18 +2,20 @@
 
 A length-m chain of substitution indices corresponds to one subsimplex of
 the m-th barycentric subdivision: its vertices are the columns of the
-chain's composed matrix.  Diameters are kept as exact squared distances so
-no square roots are needed.
+chain's composed matrix, found from integer vertices (`pwn_step`), and
+points are pulled back by the bidiagonal inverse (`pwn_preimage`).
+Diameters are kept as exact squared distances so no square roots are needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .forms import Point, in_simplex
-from .matrices import Chain, MatrixError, SubMatrix, compose_chain, enumerate_pwn
+from .matrices import Chain, chain_vertices, pwn_perms, pwn_preimage, pwn_step
 
 DEFAULT_CELL_BUDGET = 10**6
 
@@ -32,15 +34,15 @@ class Cell:
 
 def cell_of_chain(chain: Sequence[int], n: int) -> Cell:
     """Cell whose vertices are the columns of the chain's composed matrix."""
-    m = compose_chain(chain, n)
+    verts, den = chain_vertices(chain, n)
     return Cell(
-        vertices=tuple(m.column(j) for j in range(n)),
+        vertices=tuple(tuple(Fraction(x, den) for x in v) for v in verts),
         chain=tuple(chain),
     )
 
 
-def _squared_diameter(vs: Sequence[Point]) -> Fraction:
-    best = Fraction(0)
+def _squared_diameter(vs: Sequence[Point]):
+    best = 0
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
             d = sum((a - b) ** 2 for a, b in zip(vs[i], vs[j]))
@@ -51,7 +53,7 @@ def _squared_diameter(vs: Sequence[Point]) -> Fraction:
 
 def squared_diameter(cell: Cell) -> Fraction:
     """Maximum squared Euclidean distance between vertex pairs."""
-    return _squared_diameter(cell.vertices)
+    return Fraction(_squared_diameter(cell.vertices))
 
 
 def cell_count(n: int, m: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
@@ -71,41 +73,39 @@ def cell_count(n: int, m: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
 def max_diameter_at_depth(n: int, m: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Fraction:
     """Maximum squared diameter over all (n!)^m depth-m cells.
 
-    Walks the chain tree depth-first, reusing prefix products.
+    Walks the chain tree depth-first on integer vertices over lcm(1..n)^m.
     """
     cell_count(n, m, cell_budget)
-    mats = enumerate_pwn(n)
-    best = Fraction(0)
-
-    def walk(prod: SubMatrix, depth: int) -> None:
-        nonlocal best
-        if depth == m:
-            best = max(best, _squared_diameter(tuple(prod.column(j) for j in range(n))))
-            return
-        for b in mats:
-            walk(prod @ b, depth + 1)
-
-    walk(SubMatrix.identity(n), 0)
-    return best
+    perms = pwn_perms(n)
+    verts, _ = chain_vertices((), n)
+    best = 0
+    stack = [(verts, m if n > 1 else 0)]  # n = 1: one point at every depth
+    while stack:
+        verts, left = stack.pop()
+        if left:
+            stack.extend((pwn_step(verts, p), left - 1) for p in perms)
+        else:
+            best = max(best, _squared_diameter(verts))
+    return Fraction(best, math.lcm(*range(1, n + 1)) ** (2 * m))
 
 
 def locate_point(p: Sequence, depth: int) -> Chain:
     """Lexicographically smallest length-`depth` chain whose cell contains p.
 
-    At each level the point is pulled back through the first matrix whose
-    exact solve yields non-negative coordinates; cells with a shared face
+    At each level the point is pulled back through the first permutation
+    whose preimage has non-negative coordinates; cells with a shared face
     therefore resolve to the smallest chain.
     """
     coords = tuple(Fraction(x) for x in p)
     if not in_simplex(coords):
         raise GeometryError(f"point {coords} is not in the standard simplex")
     n = len(coords)
-    mats = enumerate_pwn(n)
+    perms = pwn_perms(n)
     chain: List[int] = []
     current = coords
     for _ in range(depth):
-        for i, b in enumerate(mats, start=1):
-            t = b.solve(current)
+        for i, p in enumerate(perms, start=1):
+            t = pwn_preimage(p, current)
             if all(x >= 0 for x in t):
                 chain.append(i)
                 current = t

@@ -1,9 +1,9 @@
-"""Weighted difference substitution matrices and chain composition.
+"""Weighted difference substitutions: structured maps, and matrices as reference.
 
-The building blocks: the upper-triangular weight matrix W_n (column j is j
-copies of 1/j), the n! permutation matrices, their products B = P·W_n, and
-products of those along a chain of permutation indices.  All entries are
-exact Fractions; matrices are immutable.
+Column j of M·B, B = P·W_n, is the mean of the first j+1 columns of M in
+the order P ranks them, and B⁻¹ is bidiagonal: `pwn_step` and
+`pwn_preimage` use that, in integers and without products.  The dense
+Fraction `SubMatrix` (W_n, permutations, chain products) is their reference.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 Chain = Tuple[int, ...]
 
@@ -111,10 +111,6 @@ class SubMatrix:
                     a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
         return tuple(a[i][n] for i in range(n))
 
-    def to_strings(self) -> List[str]:
-        """Row-major flat list of "a/b" strings (wire format)."""
-        return [str(x) for row in self.rows for x in row]
-
     def __repr__(self) -> str:
         return f"SubMatrix({[[str(x) for x in row] for row in self.rows]})"
 
@@ -160,19 +156,64 @@ def sds_matrix(perm: Sequence[int]) -> SubMatrix:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_pwn_cached(n: int) -> Tuple[SubMatrix, ...]:
-    return tuple(sds_matrix(p) for p in permutations(range(1, n + 1)))
-
-
-def enumerate_pwn(n: int, max_elements: int = MAX_PWN_ELEMENTS) -> Tuple[SubMatrix, ...]:
-    """All n! substitution matrices in lexicographic permutation order."""
+def pwn_perms(n: int, max_elements: int = MAX_PWN_ELEMENTS) -> Tuple[Tuple[int, ...], ...]:
+    """All n! permutations of 1..n in lexicographic order; chain index i
+    names perms[i-1].  Refused beyond max_elements."""
     if n < 1:
         raise MatrixError("n must be positive")
     if math.factorial(n) > max_elements:
-        raise MatrixError(
-            f"{n}! = {math.factorial(n)} exceeds the limit of {max_elements}"
-        )
-    return _enumerate_pwn_cached(n)
+        raise MatrixError(f"{n}! = {math.factorial(n)} exceeds the limit of {max_elements}")
+    return tuple(permutations(range(1, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def enumerate_pwn(n: int, max_elements: int = MAX_PWN_ELEMENTS) -> Tuple[SubMatrix, ...]:
+    """All n! substitution matrices in lexicographic permutation order."""
+    return tuple(sds_matrix(p) for p in pwn_perms(n, max_elements))
+
+
+@lru_cache(maxsize=None)
+def _scales(n: int) -> Tuple[int, ...]:
+    lcm = math.lcm(*range(1, n + 1))
+    return tuple(lcm // j for j in range(1, n + 1))
+
+
+def pwn_step(vertices: Sequence[Sequence[int]], perm: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Vertices of the cell M·B, B = P_perm·W_n, times L = lcm(1..n).
+
+    `vertices` are the columns of M.  Vertex j is the sum of the columns
+    that perm ranks 1..j+1, scaled by L/(j+1); integer columns stay integer.
+    """
+    out = []
+    acc = [0] * len(vertices[0])
+    for scale, i in zip(_scales(len(perm)), sorted(range(len(perm)), key=perm.__getitem__)):
+        acc = [a + b for a, b in zip(acc, vertices[i])]
+        out.append(tuple(scale * a for a in acc))
+    return tuple(out)
+
+
+def pwn_preimage(perm: Sequence[int], x: Sequence) -> tuple:
+    """The t with P_perm·W_n·t = x: with u_{perm[i]} = x_i and u_{n+1} = 0,
+    t_j = j·(u_j − u_{j+1})."""
+    n = len(perm)
+    if len(x) != n:
+        raise MatrixError("dimension mismatch")
+    u = [0] * (n + 1)
+    for r, xi in zip(perm, x):
+        u[r - 1] = xi
+    return tuple((j + 1) * (u[j] - u[j + 1]) for j in range(n))
+
+
+def chain_vertices(chain: Sequence[int], n: int) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """Integer vertices V and denominator D of the chain's cell: its
+    vertices (the columns of compose_chain(chain, n)) are V/D."""
+    perms = pwn_perms(n)
+    verts = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    for idx in chain:
+        if not 1 <= idx <= len(perms):
+            raise MatrixError(f"chain index {idx} out of range 1..{len(perms)}")
+        verts = pwn_step(verts, perms[idx - 1])
+    return verts, _scales(n)[0] ** len(chain)  # _scales(n)[0] = lcm(1..n)
 
 
 def compose_chain(chain: Sequence[int], n: int) -> SubMatrix:
@@ -196,5 +237,7 @@ def is_normalized(m: SubMatrix) -> bool:
 
 
 def barycenter_image(chain: Sequence[int], n: int) -> Tuple[Fraction, ...]:
-    """Image of the barycenter (1/n, ..., 1/n) under the chain's matrix."""
-    return compose_chain(chain, n).matvec([Fraction(1, n)] * n)
+    """Image of the barycenter (1/n, ..., 1/n) under the chain's matrix:
+    the mean of the chain's cell vertices."""
+    verts, den = chain_vertices(chain, n)
+    return tuple(Fraction(sum(xs), n * den) for xs in zip(*verts))

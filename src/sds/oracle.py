@@ -18,6 +18,7 @@ from .forms import Form, Point, evaluate
 
 DEFAULT_GRID_BUDGET = 2_000_000
 MAX_RANDOM_DENOMINATOR = 10**4
+MAX_RANDOM_TRIALS = 10**6
 
 
 class OracleError(ValueError):
@@ -76,10 +77,13 @@ def random_negative_search(
     Each trial draws, from Python's Mersenne Twister seeded with `seed`, a
     denominator D in [1, 10^4] and n integers in [0, D]; the vector is
     normalized by its sum (all-zero draws are skipped).  Returns the first
-    (point, value) with value < 0, or None after `trials` trials.
+    (point, value) with value < 0, or None after `trials` trials; more than
+    MAX_RANDOM_TRIALS trials are refused before the first draw.
     """
     if trials < 1:
         raise OracleError("trials must be >= 1")
+    if trials > MAX_RANDOM_TRIALS:
+        raise OracleError(f"{trials} trials exceed the budget of {MAX_RANDOM_TRIALS}")
     rng = random.Random(seed)
     n = f.nvars
     for _ in range(trials):

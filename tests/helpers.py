@@ -8,6 +8,8 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import List, Tuple
 
+from hypothesis import strategies as st
+
 from sds.forms import Form
 
 
@@ -52,3 +54,13 @@ def random_simplex_point(rng: random.Random, nvars: int, den: int = 60) -> Tuple
         prev = c
     parts.append(den - prev)
     return tuple(Fraction(a, den) for a in parts)
+
+
+def chains(max_n: int = 4, max_len: int = 5):
+    """Hypothesis strategy for (n, chain): n in 1..max_n, chain indices in 1..n!."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(1, factorial(n)), max_size=max_len).map(tuple),
+        )
+    )

@@ -123,6 +123,15 @@ class TestDecide:
         assert "INVALID" in out
 
 
+    def test_long_certificate_chain(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps([{"chain": [1] * 3000, "form": "x^2"}]))
+        code, out, _ = run(capsys, "verify-certificate", "x^2", "--vars", "x",
+                           "--certificate", str(cert))
+        assert code == 0
+        assert out.strip() == "certificate valid"
+
+
 class TestCorpus:
     def test_example3_p1_depth1(self, capsys):
         code, out, _ = run(capsys, "corpus", "example3-p1", "--format", "json")
@@ -177,6 +186,13 @@ class TestOracle:
         )
         assert code == 2
         assert json.loads(out) == {"found": False}
+
+    def test_random_trials_budget(self, capsys):
+        code, out, err = run(capsys, "oracle", "x", "--vars", "x",
+                             "--random-trials", "1000000000000")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
 
     def test_nonnegative_grid_min_exit2(self, capsys):
         code, out, _ = run(capsys, "oracle", "(x + y)^2", "--vars", "x,y", "--grid-denominator", "4")

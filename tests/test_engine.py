@@ -240,3 +240,12 @@ class TestCertificates:
 
     def test_empty_certificate_rejected(self, example1):
         assert not verify_certificate(example1, [])
+
+    def test_duplicate_chain_rejected(self, example1):
+        cert = list(yys_decide(example1, EngineConfig(emit_certificate=True)).certificate)
+        assert not verify_certificate(example1, cert + cert[:1])
+
+    def test_long_chain_walk_is_iterative(self):
+        # n = 1 has one child per level, so only the walk's depth is large
+        f = parse_form("x^2", ["x"])
+        assert verify_certificate(f, [((1,) * 3000, f)])

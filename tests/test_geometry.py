@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sds.geometry import (
     Cell,
@@ -14,7 +15,9 @@ from sds.geometry import (
     max_diameter_at_depth,
     squared_diameter,
 )
-from sds.matrices import compose_chain
+from sds.matrices import MatrixError, compose_chain, enumerate_pwn
+
+from helpers import chains
 
 F = Fraction
 
@@ -136,3 +139,54 @@ class TestLocatePoint:
                 smallest = chain
                 break
         assert found == smallest
+
+
+def solve_locate(p, depth):
+    """locate_point's rule on the dense matrices: at each level the first
+    substitution matrix whose exact solve is non-negative."""
+    mats = enumerate_pwn(len(p))
+    chain = []
+    for _ in range(depth):
+        for i, b in enumerate(mats, start=1):
+            t = b.solve(p)
+            if all(x >= 0 for x in t):
+                chain.append(i)
+                p = t
+                break
+    return tuple(chain)
+
+
+class TestAgainstMatrixReference:
+    @settings(max_examples=200, deadline=None)
+    @given(chains())
+    def test_cell_vertices_are_the_columns(self, nc):
+        n, chain = nc
+        m = compose_chain(chain, n)
+        assert cell_of_chain(chain, n).vertices == tuple(m.column(j) for j in range(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(chains(max_len=3), st.data())
+    def test_locate_point_matches_solve(self, nc, data):
+        n, chain = nc
+        # a cell vertex lies on shared faces, so the tie rule decides it
+        kind = data.draw(st.sampled_from(["vertex", "interior"]))
+        if kind == "vertex":
+            p = data.draw(st.sampled_from(cell_of_chain(chain, n).vertices))
+        else:
+            parts = data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)
+                              .filter(lambda xs: sum(xs) > 0))
+            p = tuple(F(a, sum(parts)) for a in parts)
+        depth = data.draw(st.integers(0, 3))
+        assert locate_point(p, depth) == solve_locate(p, depth)
+
+    @pytest.mark.parametrize("n,m", [(1, 3)] + [(2, m) for m in range(6)]
+                             + [(3, m) for m in range(4)] + [(4, m) for m in range(3)])
+    def test_max_diameter_is_the_brute_force_max(self, n, m):
+        brute = max(squared_diameter(cell_of_chain(chain, n))
+                    for chain in product(range(1, math.factorial(n) + 1), repeat=m))
+        assert max_diameter_at_depth(n, m) == brute
+
+    @pytest.mark.parametrize("chain", [(7,), (0,), (1, 7)])
+    def test_bad_chain_index(self, chain):
+        with pytest.raises(MatrixError, match="out of range"):
+            cell_of_chain(chain, 3)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sds.matrices import (
     MatrixError,
@@ -13,11 +14,14 @@ from sds.matrices import (
     enumerate_pwn,
     is_normalized,
     permutation_matrix,
+    pwn_perms,
+    pwn_preimage,
+    pwn_step,
     sds_matrix,
     weighted_matrix,
 )
 
-from helpers import random_chain
+from helpers import chains, random_chain
 
 F = Fraction
 
@@ -171,3 +175,54 @@ class TestBarycenterImage:
     def test_reported_counterexample_chain(self):
         # the depth-2 chain found for the indefinite cubic corpus example
         assert barycenter_image((3, 6), 3) == (F(37, 108), F(49, 108), F(11, 54))
+
+
+class TestStructuredMaps:
+    """The structured P·W_n maps against the dense SubMatrix reference."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_perms_index_the_matrices(self, n):
+        assert tuple(sds_matrix(p) for p in pwn_perms(n)) == enumerate_pwn(n)
+
+    def test_perms_limit(self):
+        with pytest.raises(MatrixError, match="exceeds"):
+            pwn_perms(4, max_elements=6)
+        with pytest.raises(MatrixError):
+            pwn_perms(0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_step_is_the_scaled_product(self, data):
+        n = data.draw(st.integers(1, 4))
+        perm = data.draw(st.sampled_from(pwn_perms(n)))
+        cols = data.draw(st.lists(
+            st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=n, max_size=n))
+        m = SubMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+        product = m @ sds_matrix(perm)
+        lcm = math.lcm(*range(1, n + 1))
+        assert pwn_step(cols, perm) == tuple(
+            tuple(lcm * x for x in product.column(j)) for j in range(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_preimage_is_the_solve(self, data):
+        n = data.draw(st.integers(1, 4))
+        perm = data.draw(st.sampled_from(pwn_perms(n)))
+        rational = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=40))
+        x = data.draw(st.lists(rational, min_size=n, max_size=n))
+        assert pwn_preimage(perm, x) == sds_matrix(perm).solve(x)
+
+    def test_preimage_dimension_mismatch(self):
+        with pytest.raises(MatrixError):
+            pwn_preimage((1, 2, 3), (F(1, 2), F(1, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(chains())
+    def test_barycenter_image_is_the_product(self, nc):
+        n, chain = nc
+        assert barycenter_image(chain, n) == compose_chain(chain, n).matvec([F(1, n)] * n)
+
+    @pytest.mark.parametrize("chain", [(7,), (0,), (1, 7), (2, -1)])
+    def test_bad_chain_index(self, chain):
+        with pytest.raises(MatrixError, match="out of range"):
+            barycenter_image(chain, 3)

@@ -6,6 +6,7 @@ import pytest
 from sds.corpus import EXAMPLE2_TEXT, corpus_form
 from sds.forms import parse_form
 from sds.oracle import (
+    MAX_RANDOM_TRIALS,
     GridSpec,
     OracleError,
     grid_min,
@@ -93,3 +94,9 @@ class TestRandomSearch:
     def test_trials_validation(self):
         with pytest.raises(OracleError):
             random_negative_search(parse_form("x*y", XY), 0, 0)
+
+    def test_trials_budget(self, monkeypatch):
+        # refused before the first draw
+        monkeypatch.setattr(random.Random, "randint", lambda *a: pytest.fail("drew"))
+        with pytest.raises(OracleError, match="budget"):
+            random_negative_search(parse_form("x*y", XY), MAX_RANDOM_TRIALS + 1, 0)
