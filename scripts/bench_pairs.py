@@ -12,7 +12,9 @@ both medians, the before side's interquartile range and how many pairs the
 after side won.  Each run's first pass time (the first figure of the
 `wall_s ... passes:` line) is kept too, and the smallest per side is
 recorded: `run.py` fails when a first pass ends before its first reference
-sample at 0.25 s.  An existing output file gains the workload as a new key.
+sample at 0.25 s, so a side whose smallest first pass is under
+FIRST_PASS_MARGIN_S gets a FLAG line on stderr.  An existing output file
+gains the workload as a new key.
 A run that exits non-zero stops the script with the tail of its stderr.
 """
 
@@ -25,6 +27,8 @@ import platform
 import statistics
 import subprocess
 import sys
+
+FIRST_PASS_MARGIN_S = 0.30  # perfbench/run.py fails below 0.25 s (REFERENCE_INTERVAL_S)
 
 
 def run(checkout: str, workload: str, seed: int) -> tuple:
@@ -83,10 +87,12 @@ def main() -> None:
             doc = json.load(fh)
     doc["env"] = {"python": platform.python_version(), "machine": platform.machine(),
                   "cpus": os.cpu_count()}
-    doc[args.workload] = {
-        "pairs": pairs, "summary": metrics,
-        "min_first_pass_s": {side: min(p["first_pass_s"][side] for p in pairs) for side in ("before", "after")},
-    }
+    first = {side: min(p["first_pass_s"][side] for p in pairs) for side in ("before", "after")}
+    for side, seconds in first.items():
+        if seconds < FIRST_PASS_MARGIN_S:
+            print(f"FLAG: {args.workload} {side} first pass {seconds} s is under {FIRST_PASS_MARGIN_S} s; "
+                  "perfbench/run.py fails below 0.25 s", file=sys.stderr)
+    doc[args.workload] = {"pairs": pairs, "summary": metrics, "min_first_pass_s": first}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

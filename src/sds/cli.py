@@ -16,24 +16,23 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .corpus import CORPUS_NAMES, CORPUS_VARS, corpus_text
 from .engine import (
     Counterexample,
     EngineConfig,
-    EngineError,
     EngineStats,
-    Inconclusive,
     PositiveSemidefinite,
     Verdict,
     verify_certificate,
     yys_decide,
 )
-from .forms import Form, FormError, ParseError, parse_form
+from .forms import Form, FormError, parse_form
 from .geometry import cell_count, cell_of_chain, squared_diameter
-from .matrices import MatrixError
-from .oracle import GridSpec, OracleError, grid_min, random_negative_search
+from .matrices import pwn_perms
+from .oracle import GridSpec, grid_min, random_negative_search
 
 EXIT_PSD = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -93,22 +92,32 @@ def _read_source(args: argparse.Namespace) -> str:
     return args.polynomial
 
 
-def _config_dict(cfg: EngineConfig) -> Dict[str, object]:
-    return {**dataclasses.asdict(cfg), "threads": cfg.threads}
+def _print(args: argparse.Namespace, payload: object, text: str) -> None:
+    """The one place that picks JSON or text for a subcommand's result."""
+    print(json.dumps(payload, indent=2) if args.format == "json" else text)
 
 
-def _verdict_dict(verdict: Verdict, certificate_path: Optional[str]) -> Dict[str, object]:
+def _strs(values: Sequence[Fraction]) -> List[str]:
+    return [str(x) for x in values]
+
+
+# verdict kind -> (exit code, text rendered from the verdict dict)
+VERDICTS = {
+    "positive_semidefinite": (EXIT_PSD, "positive semi-definite (depth {depth})"),
+    "counterexample": (EXIT_COUNTEREXAMPLE, "counterexample at depth {depth}: F({point}) = {value}\nchain: {chain}"),
+    "inconclusive": (EXIT_INCONCLUSIVE, "inconclusive at depth {depth_reached} ({live_forms} live forms)"),
+}
+
+
+def _verdict_dict(verdict: Verdict) -> Dict[str, object]:
     if isinstance(verdict, PositiveSemidefinite):
-        out: Dict[str, object] = {"kind": "positive_semidefinite", "depth": verdict.depth}
-        if certificate_path:
-            out["certificate_path"] = certificate_path
-        return out
+        return {"kind": "positive_semidefinite", "depth": verdict.depth}
     if isinstance(verdict, Counterexample):
         return {
             "kind": "counterexample",
             "depth": len(verdict.chain),
             "chain": list(verdict.chain),
-            "point": [str(x) for x in verdict.point],
+            "point": _strs(verdict.point),
             "value": str(verdict.value),
         }
     return {
@@ -118,56 +127,9 @@ def _verdict_dict(verdict: Verdict, certificate_path: Optional[str]) -> Dict[str
     }
 
 
-def _emit_report(
-    args: argparse.Namespace,
-    text: str,
-    vars: Sequence[str],
-    cfg: EngineConfig,
-    verdict: Verdict,
-    stats: EngineStats,
-    wall_time: float,
-    certificate_path: Optional[str],
-) -> int:
-    report = {
-        "input": {"polynomial": text, "vars": list(vars)},
-        "config": _config_dict(cfg),
-        "verdict": _verdict_dict(verdict, certificate_path),
-        "stats": {
-            "forms_expanded": stats.forms_expanded,
-            "forms_pruned": stats.forms_pruned,
-            "dedup_collapsed": stats.dedup_collapsed,
-            "wall_time": wall_time,
-        },
-    }
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        if isinstance(verdict, PositiveSemidefinite):
-            print(f"positive semi-definite (depth {verdict.depth})")
-            if certificate_path:
-                print(f"certificate written to {certificate_path}")
-        elif isinstance(verdict, Counterexample):
-            point = "(" + ", ".join(str(x) for x in verdict.point) + ")"
-            note = ""
-            if cfg.dedup and stats.dedup_collapsed:
-                note = f"  [dedup collapsed {stats.dedup_collapsed} duplicate branches]"
-            print(f"counterexample at depth {len(verdict.chain)}: F{point} = {verdict.value}")
-            print(f"chain: {list(verdict.chain)}{note}")
-        else:
-            print(
-                f"inconclusive at depth {verdict.depth_reached} "
-                f"({verdict.live_forms} live forms)"
-            )
-    if isinstance(verdict, PositiveSemidefinite):
-        return EXIT_PSD
-    if isinstance(verdict, Counterexample):
-        return EXIT_COUNTEREXAMPLE
-    return EXIT_INCONCLUSIVE
-
-
-def _write_certificate(path: str, verdict: Verdict, vars: Sequence[str]) -> Optional[str]:
+def _write_certificate(path: str, verdict: Verdict, vars: Sequence[str]) -> bool:
     if not isinstance(verdict, PositiveSemidefinite) or verdict.certificate is None:
-        return None
+        return False
     payload = [
         {"chain": list(chain), "form": form.to_text(vars)}
         for chain, form in verdict.certificate
@@ -175,7 +137,21 @@ def _write_certificate(path: str, verdict: Verdict, vars: Sequence[str]) -> Opti
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    return path
+    return True
+
+
+def _read_certificate(path: str, vars: Sequence[str]) -> List[Tuple[Tuple, Form]]:
+    """The (chain, form) entries of a file in the format _write_certificate writes."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, list):
+        raise ValueError("a certificate is a JSON list of {chain, form} objects")
+    for k, entry in enumerate(payload, start=1):
+        if not (isinstance(entry, dict) and isinstance(entry.get("chain"), list)
+                and isinstance(entry.get("form"), str)):
+            raise ValueError(f"certificate entry {k} of {len(payload)} is not an object "
+                             "with a chain list and a form string")
+    return [(tuple(entry["chain"]), parse_form(entry["form"], vars)) for entry in payload]
 
 
 def _run_decide(args: argparse.Namespace, text: str, vars: Sequence[str]) -> int:
@@ -185,10 +161,28 @@ def _run_decide(args: argparse.Namespace, text: str, vars: Sequence[str]) -> int
     start = time.perf_counter()
     verdict = yys_decide(form, cfg, stats)
     wall = time.perf_counter() - start
-    cert_path = None
-    if args.certificate_out:
-        cert_path = _write_certificate(args.certificate_out, verdict, vars)
-    return _emit_report(args, text, vars, cfg, verdict, stats, wall, cert_path)
+    result = _verdict_dict(verdict)
+    if args.certificate_out and _write_certificate(args.certificate_out, verdict, vars):
+        result["certificate_path"] = args.certificate_out
+    report = {
+        "input": {"polynomial": text, "vars": list(vars)},
+        "config": {**dataclasses.asdict(cfg), "threads": cfg.threads},
+        "verdict": result,
+        "stats": {
+            "forms_expanded": stats.forms_expanded,
+            "forms_pruned": stats.forms_pruned,
+            "dedup_collapsed": stats.dedup_collapsed,
+            "wall_time": wall,
+        },
+    }
+    code, template = VERDICTS[result["kind"]]
+    line = template.format_map({**result, "point": ", ".join(result.get("point", ()))})
+    if "certificate_path" in result:
+        line += f"\ncertificate written to {result['certificate_path']}"
+    if result["kind"] == "counterexample" and stats.dedup_collapsed:
+        line += f"  [dedup collapsed {stats.dedup_collapsed} duplicate branches]"
+    _print(args, report, line)
+    return code
 
 
 def _split_vars(spec: str) -> List[str]:
@@ -208,8 +202,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     try:
         text = corpus_text(args.name)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(exc.args[0]) from None
     return _run_decide(args, text, CORPUS_VARS)
 
 
@@ -217,73 +210,51 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     form = parse_form(_read_source(args), _split_vars(args.vars))
     if args.grid_denominator is not None:
         value, point = grid_min(form, GridSpec(args.grid_denominator, form.nvars))
-        out = {"min": str(value), "argmin": [str(x) for x in point]}
-        if args.format == "json":
-            print(json.dumps(out, indent=2))
-        else:
-            print(f"grid min {value} at ({', '.join(str(x) for x in point)})")
-        return EXIT_COUNTEREXAMPLE if value < 0 else EXIT_INCONCLUSIVE
-    hit = random_negative_search(form, args.random_trials, args.seed)
-    if args.format == "json":
-        if hit is None:
-            print(json.dumps({"found": False}, indent=2))
-        else:
-            point, value = hit
-            print(
-                json.dumps(
-                    {
-                        "found": True,
-                        "point": [str(x) for x in point],
-                        "value": str(value),
-                    },
-                    indent=2,
-                )
-            )
+        payload: Dict[str, object] = {"min": str(value), "argmin": _strs(point)}
+        text = f"grid min {value} at ({', '.join(_strs(point))})"
     else:
-        if hit is None:
-            print(f"no negative value found in {args.random_trials} trials")
-        else:
+        hit = random_negative_search(form, args.random_trials, args.seed)
+        value = 0  # a miss; a hit's value is negative
+        payload = {"found": hit is not None}
+        text = f"no negative value found in {args.random_trials} trials"
+        if hit is not None:
             point, value = hit
-            print(f"negative value {value} at ({', '.join(str(x) for x in point)})")
-    return EXIT_INCONCLUSIVE if hit is None else EXIT_COUNTEREXAMPLE
+            payload.update(point=_strs(point), value=str(value))
+            text = f"negative value {value} at ({', '.join(_strs(point))})"
+    _print(args, payload, text)
+    return EXIT_COUNTEREXAMPLE if value < 0 else EXIT_INCONCLUSIVE
 
 
 def cmd_subdivision(args: argparse.Namespace) -> int:
-    from itertools import product
-    import math as _math
-
     n = args.nvars
     cell_count(n, args.depth)  # refuses past the cell budget before any cell is built
-    nfact = _math.factorial(n)
     cells = []
-    for chain in product(range(1, nfact + 1), repeat=args.depth):
+    for chain in product(range(1, len(pwn_perms(n)) + 1), repeat=args.depth):
         cell = cell_of_chain(chain, n)
         cells.append(
             {
                 "chain": list(chain),
-                "vertices": [[str(x) for x in v] for v in cell.vertices],
+                "vertices": [_strs(v) for v in cell.vertices],
                 "squared_diameter": str(squared_diameter(cell)),
             }
         )
-    if args.format == "json":
-        print(json.dumps(cells, indent=2))
-    else:
-        for c in cells:
-            print(f"{c['chain']}: diam^2 = {c['squared_diameter']}")
+    text = "\n".join(f"{c['chain']}: diam^2 = {c['squared_diameter']}" for c in cells)
+    _print(args, cells, text)
     return EXIT_PSD
 
 
 def cmd_verify_certificate(args: argparse.Namespace) -> int:
     vars = _split_vars(args.vars)
     form = parse_form(_read_source(args), vars)
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    cert = [
-        (tuple(entry["chain"]), parse_form(entry["form"], vars)) for entry in payload
-    ]
-    ok = verify_certificate(form, cert)
+    ok = verify_certificate(form, _read_certificate(args.certificate, vars))
     print("certificate valid" if ok else "certificate INVALID")
     return EXIT_PSD if ok else EXIT_COUNTEREXAMPLE
+
+
+def _add_source_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("polynomial", nargs="?", default=None)
+    p.add_argument("--file", default=None, help="read the polynomial from a file")
+    p.add_argument("--vars", required=True, help="comma-separated variable names")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decide", help="decide nonnegativity of a form")
-    p.add_argument("polynomial", nargs="?", default=None)
-    p.add_argument("--file", default=None, help="read the polynomial from a file")
-    p.add_argument("--vars", required=True, help="comma-separated variable names")
+    _add_source_args(p)
     _add_engine_flags(p)
     p.set_defaults(func=cmd_decide)
 
@@ -303,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("oracle", help="grid / random sampling over the simplex")
-    p.add_argument("polynomial", nargs="?", default=None)
-    p.add_argument("--file", default=None)
-    p.add_argument("--vars", required=True)
+    _add_source_args(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--grid-denominator", type=int, default=None)
     group.add_argument("--random-trials", type=int, default=None)
@@ -320,9 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_subdivision)
 
     p = sub.add_parser("verify-certificate", help="recheck an emitted certificate")
-    p.add_argument("polynomial", nargs="?", default=None)
-    p.add_argument("--file", default=None)
-    p.add_argument("--vars", required=True)
+    _add_source_args(p)
     p.add_argument("--certificate", required=True, metavar="PATH")
     p.set_defaults(func=cmd_verify_certificate)
 
@@ -334,7 +299,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FormError, MatrixError, EngineError, OracleError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every sds error class is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # last resort: no input may end in a traceback

@@ -27,7 +27,7 @@ from .forms import (
     substitute_linear,
     substitute_pwn,
 )
-from .matrices import Chain, barycenter_image, compose_chain, pwn_perms
+from .matrices import Chain, barycenter_image, check_chain, compose_chain, pwn_perms
 
 Certificate = Tuple[Tuple[Chain, Form], ...]
 
@@ -184,17 +184,16 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
     chain, every entry is trivially positive, and the chains exactly cover
     the frontier of the pruned substitution tree: walking from the root and
     expanding every non-certificate node, each branch must end on exactly
-    one certificate chain, and no entry may be left unused.
+    one certificate chain, and no entry may be left unused.  A chain index
+    outside 1..n! raises MatrixError.
     """
     if not cert:
         return False
     n = f.nvars
-    cert_map: Dict[Chain, Form] = {}
-    for chain, form in cert:
-        chain = tuple(chain)
-        if chain in cert_map:
-            return False
-        cert_map[chain] = form
+    # every index is checked before any substitution, whatever the entry order
+    cert_map: Dict[Chain, Form] = {check_chain(chain, n): form for chain, form in cert}
+    if len(cert_map) != len(cert):  # a duplicate chain
+        return False
     for chain, form in cert_map.items():
         if form != substitute_linear(f, compose_chain(chain, n)):
             return False

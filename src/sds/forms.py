@@ -492,7 +492,7 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
         w = big_l // (j + 1)
         for _ in range(d):
             tab.append(tab[-1] * w)
-    # one Fraction per coefficient on the way out (ROADMAP item 2: Form._from_ints)
+    # one Fraction per coefficient on the way out (ROADMAP item 1(a): Form._from_ints)
     denom = f.den * big_l ** d
     terms: Dict[Exponent, Fraction] = {}
     for exp, v in poly.items():

@@ -56,26 +56,26 @@ def squared_diameter(cell: Cell) -> Fraction:
     return Fraction(_squared_diameter(cell.vertices))
 
 
-def cell_count(n: int, m: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
+def cell_count(n: int, m: int) -> int:
     """(n!)^m, the number of depth-m cells, multiplied up one factor at a time
-    and refused (GeometryError) as soon as it passes cell_budget."""
+    and refused (GeometryError) as soon as it passes DEFAULT_CELL_BUDGET."""
     if m < 0:
         raise GeometryError("depth must be non-negative")
     count = 1
     for _ in range(m if n > 1 else 0):
         for k in range(2, n + 1):
             count *= k
-            if count > cell_budget:
-                raise GeometryError(f"(n!)^m = ({n}!)^{m} exceeds cell budget {cell_budget}")
+            if count > DEFAULT_CELL_BUDGET:
+                raise GeometryError(f"(n!)^m = ({n}!)^{m} exceeds cell budget {DEFAULT_CELL_BUDGET}")
     return count
 
 
-def max_diameter_at_depth(n: int, m: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> Fraction:
+def max_diameter_at_depth(n: int, m: int) -> Fraction:
     """Maximum squared diameter over all (n!)^m depth-m cells.
 
     Walks the chain tree depth-first on integer vertices over lcm(1..n)^m.
     """
-    cell_count(n, m, cell_budget)
+    cell_count(n, m)
     perms = pwn_perms(n)
     verts, _ = chain_vertices((), n)
     best = 0

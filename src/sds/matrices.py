@@ -156,20 +156,29 @@ def sds_matrix(perm: Sequence[int]) -> SubMatrix:
 
 
 @lru_cache(maxsize=None)
-def pwn_perms(n: int, max_elements: int = MAX_PWN_ELEMENTS) -> Tuple[Tuple[int, ...], ...]:
+def pwn_perms(n: int) -> Tuple[Tuple[int, ...], ...]:
     """All n! permutations of 1..n in lexicographic order; chain index i
-    names perms[i-1].  Refused beyond max_elements."""
+    names perms[i-1].  Refused beyond MAX_PWN_ELEMENTS."""
     if n < 1:
         raise MatrixError("n must be positive")
-    if math.factorial(n) > max_elements:
-        raise MatrixError(f"{n}! = {math.factorial(n)} exceeds the limit of {max_elements}")
+    if math.factorial(n) > MAX_PWN_ELEMENTS:
+        raise MatrixError(f"{n}! = {math.factorial(n)} exceeds the limit of {MAX_PWN_ELEMENTS}")
     return tuple(permutations(range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
-def enumerate_pwn(n: int, max_elements: int = MAX_PWN_ELEMENTS) -> Tuple[SubMatrix, ...]:
+def enumerate_pwn(n: int) -> Tuple[SubMatrix, ...]:
     """All n! substitution matrices in lexicographic permutation order."""
-    return tuple(sds_matrix(p) for p in pwn_perms(n, max_elements))
+    return tuple(sds_matrix(p) for p in pwn_perms(n))
+
+
+def check_chain(chain: Sequence[int], n: int) -> Chain:
+    """The chain as a tuple; MatrixError unless every index is an int in 1..n!."""
+    count = len(pwn_perms(n))
+    for idx in chain:
+        if type(idx) is not int or not 1 <= idx <= count:  # bool is not an index
+            raise MatrixError(f"chain index {idx} out of range 1..{count}")
+    return tuple(chain)
 
 
 @lru_cache(maxsize=None)
@@ -209,9 +218,7 @@ def chain_vertices(chain: Sequence[int], n: int) -> Tuple[Tuple[Tuple[int, ...],
     vertices (the columns of compose_chain(chain, n)) are V/D."""
     perms = pwn_perms(n)
     verts = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
-    for idx in chain:
-        if not 1 <= idx <= len(perms):
-            raise MatrixError(f"chain index {idx} out of range 1..{len(perms)}")
+    for idx in check_chain(chain, n):
         verts = pwn_step(verts, perms[idx - 1])
     return verts, _scales(n)[0] ** len(chain)  # _scales(n)[0] = lcm(1..n)
 
@@ -224,9 +231,7 @@ def compose_chain(chain: Sequence[int], n: int) -> SubMatrix:
     """
     mats = enumerate_pwn(n)
     out = SubMatrix.identity(n)
-    for idx in chain:
-        if not 1 <= idx <= len(mats):
-            raise MatrixError(f"chain index {idx} out of range 1..{len(mats)}")
+    for idx in check_chain(chain, n):
         out = out @ mats[idx - 1]
     return out
 

@@ -51,14 +51,14 @@ def iter_grid(spec: GridSpec) -> Iterator[Point]:
         yield tuple(Fraction(a, spec.denominator) for a in comp)
 
 
-def grid_min(f: Form, spec: GridSpec, budget: int = DEFAULT_GRID_BUDGET) -> Tuple[Fraction, Point]:
+def grid_min(f: Form, spec: GridSpec) -> Tuple[Fraction, Point]:
     """Exact minimum of f over the grid, with the lex-least attaining point."""
     if spec.denominator < 1 or spec.nvars < 1:
         raise OracleError("grid needs a positive denominator and nvars")
     if spec.nvars != f.nvars:
         raise OracleError("grid dimension does not match the form")
-    if spec.size() > budget:
-        raise OracleError(f"grid size {spec.size()} exceeds budget {budget}")
+    if spec.size() > DEFAULT_GRID_BUDGET:
+        raise OracleError(f"grid size {spec.size()} exceeds budget {DEFAULT_GRID_BUDGET}")
     best_val: Optional[Fraction] = None
     best_point: Optional[Point] = None
     for point in iter_grid(spec):

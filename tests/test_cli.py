@@ -132,6 +132,33 @@ class TestDecide:
         assert out.strip() == "certificate valid"
 
 
+class TestVerifyCertificate:
+    def verify(self, capsys, tmp_path, text, vars, payload):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(payload))
+        return run(capsys, "verify-certificate", text, "--vars", vars, "--certificate", str(cert))
+
+    @pytest.mark.parametrize("payload", [
+        [{"chain": ["a"], "form": "x^2"}],
+        {"chain": [1]},
+        [{"chain": [1]}],
+        5,
+    ])
+    def test_malformed_file_exit3(self, capsys, tmp_path, payload):
+        code, out, err = self.verify(capsys, tmp_path, "x^2", "x", payload)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "internal error" not in err
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_bad_index_exit3_in_any_entry_order(self, capsys, tmp_path, bad_first):
+        entries = [{"chain": [1, 1], "form": "x^2"}, {"chain": [7], "form": "x^2"}]
+        if bad_first:
+            entries.reverse()
+        code, out, err = self.verify(capsys, tmp_path, "x^2 + y^2", "x,y", entries)
+        assert code == 3 and out == ""
+        assert err == "error: chain index 7 out of range 1..2\n"
+
+
 class TestCorpus:
     def test_example3_p1_depth1(self, capsys):
         code, out, _ = run(capsys, "corpus", "example3-p1", "--format", "json")

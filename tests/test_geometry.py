@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sds import geometry
 from sds.geometry import (
     Cell,
     GeometryError,
@@ -78,17 +79,23 @@ class TestMaxDiameterAtDepth:
         for m in range(5):
             assert max_diameter_at_depth(3, m) <= F(2, 3) ** (2 * m) * 2
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        stepped = []
+        monkeypatch.setattr(geometry, "pwn_step", lambda *a: stepped.append(a))
+        # (3!)^8 = 1,679,616 cells, past geometry.DEFAULT_CELL_BUDGET
         with pytest.raises(GeometryError, match="budget"):
-            max_diameter_at_depth(3, 4, cell_budget=100)
+            max_diameter_at_depth(3, 8)
+        assert stepped == []
 
-    def test_cell_count_is_the_budget_rule(self):
+    def test_cell_count_is_the_budget_rule(self, monkeypatch):
         for n in range(1, 5):
             for m in range(4):
                 assert cell_count(n, m) == math.factorial(n) ** m
-        assert cell_count(3, 2, cell_budget=36) == 36
+        monkeypatch.setattr(geometry, "DEFAULT_CELL_BUDGET", 36)
+        assert cell_count(3, 2) == 36
+        monkeypatch.setattr(geometry, "DEFAULT_CELL_BUDGET", 35)
         with pytest.raises(GeometryError, match="budget"):
-            cell_count(3, 2, cell_budget=35)
+            cell_count(3, 2)
 
 
 class TestLocatePoint:

@@ -6,10 +6,12 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sds import matrices
 from sds.matrices import (
     MatrixError,
     SubMatrix,
     barycenter_image,
+    check_chain,
     compose_chain,
     enumerate_pwn,
     is_normalized,
@@ -120,9 +122,12 @@ class TestEnumeratePwn:
         assert enumerate_pwn(3) == enumerate_pwn(3)
         assert enumerate_pwn(3)[0] == weighted_matrix(3)
 
-    def test_limit(self):
+    def test_limit(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(matrices, "sds_matrix", lambda p: built.append(p))
         with pytest.raises(MatrixError, match="exceeds"):
-            enumerate_pwn(4, max_elements=6)
+            enumerate_pwn(9)  # 9! = 362,880, past MAX_PWN_ELEMENTS
+        assert built == []
 
 
 class TestComposeChain:
@@ -184,9 +189,12 @@ class TestStructuredMaps:
     def test_perms_index_the_matrices(self, n):
         assert tuple(sds_matrix(p) for p in pwn_perms(n)) == enumerate_pwn(n)
 
-    def test_perms_limit(self):
+    def test_perms_limit(self, monkeypatch):
+        enumerated = []
+        monkeypatch.setattr(matrices, "permutations", lambda *a: enumerated.append(a))
         with pytest.raises(MatrixError, match="exceeds"):
-            pwn_perms(4, max_elements=6)
+            pwn_perms(9)
+        assert enumerated == []
         with pytest.raises(MatrixError):
             pwn_perms(0)
 
@@ -222,7 +230,8 @@ class TestStructuredMaps:
         n, chain = nc
         assert barycenter_image(chain, n) == compose_chain(chain, n).matvec([F(1, n)] * n)
 
-    @pytest.mark.parametrize("chain", [(7,), (0,), (1, 7), (2, -1)])
+    @pytest.mark.parametrize("chain", [(7,), (0,), (1, 7), (2, -1), (True,), (1.0,), ("1",)])
     def test_bad_chain_index(self, chain):
-        with pytest.raises(MatrixError, match="out of range"):
-            barycenter_image(chain, 3)
+        for check in (check_chain, barycenter_image, compose_chain):
+            with pytest.raises(MatrixError, match="out of range 1..6"):
+                check(chain, 3)

@@ -58,7 +58,7 @@ class TestGrid:
     def test_budget(self):
         f = parse_form("x*y", XY)
         with pytest.raises(OracleError, match="budget"):
-            grid_min(f, GridSpec(10**7, 2), budget=1000)
+            grid_min(f, GridSpec(10**7, 2))  # 10^7 + 1 points, past DEFAULT_GRID_BUDGET
 
     def test_dimension_check(self):
         with pytest.raises(OracleError):
