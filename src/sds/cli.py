@@ -66,6 +66,8 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
+    if args.certificate_out == "":
+        raise ValueError("--certificate-out needs a non-empty path")
     budget = args.node_budget
     if budget is None:
         env = os.environ.get(NODE_BUDGET_ENV)

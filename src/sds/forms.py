@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -132,6 +133,11 @@ _OPS = set("+-*^()/")
 # parentheses deeper than this are refused; each level costs the parser four
 # stack frames, well inside the interpreter's recursion limit
 MAX_NESTING = 100
+# a product or power is refused before it expands anything when its degree
+# (or a power's exponent) is above MAX_DEGREE, or when it would write more
+# than MAX_TERMS terms before like terms combine
+MAX_DEGREE = 1000
+MAX_TERMS = 200_000
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -224,10 +230,12 @@ class _Parser:
     def term(self) -> Dict[Exponent, Fraction]:
         poly = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                poly = _mul(poly, self.factor(), self.nvars)
+                rhs = self.factor()
+                _check_budget(_degree(poly) + _degree(rhs), len(poly) * len(rhs), at)
+                poly = _mul(poly, rhs, self.nvars)
             else:
                 return poly
 
@@ -242,13 +250,17 @@ class _Parser:
             else:
                 break
         base = self.primary()
-        kind, val, at = self.peek()
+        kind, val, caret = self.peek()
         if kind == "op" and val == "^":
             self.next()
             kind, val, at = self.next()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer literal", at)
-            base = _pow(base, int(val), self.nvars)
+            k = int(val)
+            if k > MAX_DEGREE:
+                raise ParseError(f"exponent {k} exceeds the limit of {MAX_DEGREE}", caret)
+            _check_budget(k * _degree(base), _power_writes(base, k, self.nvars), caret)
+            base = _pow(base, k, self.nvars)
         return _scale(base, sign)
 
     def primary(self) -> Dict[Exponent, Fraction]:
@@ -281,6 +293,34 @@ class _Parser:
             self.nesting -= 1
             return poly
         raise ParseError(f"unexpected {val or 'end of input'!r}", at)
+
+
+def _degree(p: Dict[Exponent, Fraction]) -> int:
+    """Highest total degree of p's terms; 0 for the zero polynomial."""
+    return max(map(sum, p), default=0)
+
+
+def _power_writes(a: Dict[Exponent, Fraction], k: int, nvars: int) -> int:
+    """Terms _pow(a, k) writes, at most: its k products a^i · a, with a^i
+    no larger than the multisets of i terms of a or the monomials of its
+    degrees.  Stops counting past MAX_TERMS."""
+    if len(a) <= 1:
+        return k * len(a)
+    lo, hi = min(map(sum, a)), _degree(a)
+    writes = 0
+    for i in range(k):
+        monomials = math.comb(i * hi + nvars, nvars) - math.comb(i * lo + nvars - 1, nvars)
+        writes += len(a) * min(math.comb(len(a) + i - 1, i), monomials)
+        if writes > MAX_TERMS:
+            break
+    return writes
+
+
+def _check_budget(degree: int, writes: int, at: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the limit of {MAX_DEGREE}", at)
+    if writes > MAX_TERMS:
+        raise ParseError(f"expanding this would write more than {MAX_TERMS} terms", at)
 
 
 def _const(c: Fraction, nvars: int) -> Dict[Exponent, Fraction]:
@@ -443,6 +483,25 @@ def substitute_linear(f: Form, m) -> Form:
     return Form._from_ints(n, f.degree, f.den * s ** f.degree, acc)
 
 
+@lru_cache(maxsize=8)  # one (n, d) per decide; a degree-1000 table holds tens of MB
+def _pwn_tables(n: int, d: int) -> tuple:
+    """Binomial rows 0..d, weights[j][e] = (L/(j+1))^e for e <= d, and L^d; L = lcm(1..n)."""
+    big_l = math.lcm(*range(1, n + 1))
+    binom = [(1,)]
+    for _ in range(d):
+        binom.append((1, *(a + b for a, b in zip(binom[-1], binom[-1][1:])), 1))
+    weights = tuple(tuple((big_l // j) ** e for e in range(d + 1)) for j in range(1, n + 1))
+    return tuple(binom), weights, big_l ** d
+
+
+@lru_cache(maxsize=1024)
+def _pwn_source(perm: Tuple[int, ...]) -> Tuple[int, ...]:
+    """src[j] = i where perm[i] = j + 1; FormError unless perm permutes 1..len(perm)."""
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise FormError(f"not a permutation of 1..{len(perm)}: {perm}")
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
 def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
     """Expanded form g with g(T) = f(P_perm·W_n·T), without any matrix.
 
@@ -452,26 +511,21 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
     k = 1..n-1, in that order) and z_j = t_j / j (a diagonal scale).  With
     C = f.den and L = lcm(1..n), the coefficient of t^e is
     v_e · prod (L/j)^e_j / (C·L^d), where v_e is the coefficient of the
-    shifted integer form f.nums.
+    shifted integer form f.nums.  Tables that depend on (n, d) or on the
+    perm alone come from bounded caches; perm entries must be ints.
     """
     n, d = f.nvars, f.degree
     perm = tuple(perm)
-    if sorted(perm) != list(range(1, n + 1)):
+    if len(perm) != n or any(type(p) is not int for p in perm):  # bool is not an index
         raise FormError(f"not a permutation of 1..{n}: {perm}")
+    src = _pwn_source(perm)  # position j of the relabelled exponent comes from src[j]
     if f.is_zero():
         return f
 
-    src = [0] * n  # position j of the relabelled exponent comes from src[j]
-    for i, p in enumerate(perm):
-        src[p - 1] = i
     poly: Dict[Exponent, int] = {
         tuple([exp[i] for i in src]): v for exp, v in f.nums.items()
     }
-
-    binom = [[1]]
-    for _ in range(d):
-        prev = binom[-1]
-        binom.append([1] + [a + b for a, b in zip(prev, prev[1:])] + [1])
+    binom, weights, big_l_d = _pwn_tables(n, d)
     for k in range(n - 1):
         out: Dict[Exponent, int] = {}
         get = out.get
@@ -486,14 +540,8 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
                 out[e] = get(e, 0) + v * binom_ai
         poly = out
 
-    big_l = math.lcm(*range(1, n + 1))
-    weights = [[1] for _ in range(n)]  # weights[j][e] = (L/(j+1))^e
-    for j, tab in enumerate(weights):
-        w = big_l // (j + 1)
-        for _ in range(d):
-            tab.append(tab[-1] * w)
     # one Fraction per coefficient on the way out (ROADMAP item 1(a): Form._from_ints)
-    denom = f.den * big_l ** d
+    denom = f.den * big_l_d
     terms: Dict[Exponent, Fraction] = {}
     for exp, v in poly.items():
         if v:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -65,6 +66,16 @@ class TestDecide:
         assert code == 3
         assert err.startswith("error:") and "nested deeper than 100 (at position 100)" in err
 
+    @pytest.mark.parametrize("text, vars", [("x^100000000-y^100000000", "x,y"),
+                                            ("(x+y+z)^200", "x,y,z"),
+                                            ("(x+y+z)^100*(x+y+z)^100", "x,y,z")])
+    def test_parser_budget_exit3_within_a_second(self, capsys, text, vars):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "decide", text, "--vars", vars)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "internal error" not in err
+
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "form.txt"
         path.write_text(EXAMPLE1_TEXT + "\n")
@@ -107,6 +118,16 @@ class TestDecide:
         )
         assert code == 0
         assert "valid" in out
+
+    def test_empty_certificate_path_exit3_before_deciding(self, capsys, monkeypatch):
+        def no_decide(*args):
+            raise AssertionError("decided despite an empty certificate path")
+
+        monkeypatch.setattr(cli, "yys_decide", no_decide)
+        code, out, err = run(capsys, "decide", "x^2+y^2-x*y", "--vars", "x,y", "--certificate-out", "")
+        assert code == 3
+        assert out == ""
+        assert err == "error: --certificate-out needs a non-empty path\n"
 
     def test_tampered_certificate_rejected(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sds.forms as forms_module
 from sds.corpus import CORPUS_VARS, EXAMPLE1_TEXT, EXAMPLE2_TEXT, corpus_text
 from sds.forms import (
     Form,
@@ -83,6 +84,67 @@ class TestParse:
     def test_slash_only_in_literals(self):
         with pytest.raises(ParseError):
             parse_form("x/2", XY)
+
+    def test_degree_cap(self):
+        assert parse_form("x^1000", XY).degree == 1000
+        with pytest.raises(ParseError, match="exponent 1001 exceeds the limit of 1000") as exc:
+            parse_form("x^1001", XY)
+        assert exc.value.pos == 1
+        with pytest.raises(ParseError, match="degree 1200 exceeds the limit of 1000") as exc:
+            parse_form("x^600*y^600", XY)
+        assert exc.value.pos == 5
+        with pytest.raises(ParseError, match="degree 1002"):
+            parse_form("(x^2)^501", XY)
+        with pytest.raises(ParseError, match="exponent 100000000 exceeds"):
+            parse_form("2^100000000*x", XY)
+
+    @pytest.mark.parametrize("text", ["(x+y+z)^200", "(x+y+z)^100*(x+y+z)^100",
+                                      "x^100000000-y^100000000", "(x-x)^100000000*x"])
+    def test_budget_refuses_before_expanding(self, monkeypatch, text):
+        def no_mul(*args):
+            raise AssertionError("expanded before the budget check")
+
+        monkeypatch.setattr(forms_module, "_mul", no_mul)
+        with pytest.raises(ParseError, match="exceeds the limit|more than"):
+            parse_form(text, XYZ)
+
+    def test_term_cap_boundary(self, monkeypatch):
+        # (x+y)^k writes 2·(1 + 2 + ... + k) = k(k+1) terms; a product writes
+        # the product of its operands' term counts
+        monkeypatch.setattr(forms_module, "MAX_TERMS", 110)
+        assert parse_form("(x+y)^10", XY).degree == 10
+        with pytest.raises(ParseError, match="more than 110 terms") as exc:
+            parse_form("(x+y)^11", XY)
+        assert exc.value.pos == 5
+        monkeypatch.setattr(forms_module, "MAX_TERMS", 4)
+        assert parse_form("(x+y)*(x-y)", XY).degree == 2
+        with pytest.raises(ParseError, match="more than 4 terms") as exc:
+            parse_form("(x+y)*(x+y)*(x+y)", XY)  # 3 terms times 2
+        assert exc.value.pos == 11
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_power_writes_bound_the_expansion(self, data):
+        n = data.draw(st.integers(1, 3))
+        degree = data.draw(st.integers(0, 3))
+        parts = data.draw(st.lists(forms(n, degree), min_size=1, max_size=2))
+        poly = {}  # possibly non-homogeneous
+        for part in parts:
+            poly.update(part.terms)
+        k = data.draw(st.integers(0, 6))
+        written = []
+        real_mul = forms_module._mul
+
+        def counting_mul(a, b, nvars):
+            written.append(len(a) * len(b))
+            return real_mul(a, b, nvars)
+
+        forms_module._mul = counting_mul
+        try:
+            forms_module._pow(poly, k, n)
+        finally:
+            forms_module._mul = real_mul
+        assert sum(written) <= forms_module._power_writes(poly, k, n)
 
     def test_roundtrip_serialization(self):
         rng = random.Random(7)
@@ -184,12 +246,15 @@ def monomials(n, d):
 
 
 @st.composite
-def forms(draw):
-    """Forms in 1..4 variables of degree 0..6 with signed rational coefficients."""
-    n = draw(st.integers(1, 4))
-    d = draw(st.integers(0, 6))
+def forms(draw, n=None, d=None, min_terms=0):
+    """Forms in 1..4 variables of degree 0..6 (or the given n and d) with
+    signed rational coefficients, at least min_terms of them non-zero."""
+    n = draw(st.integers(1, 4)) if n is None else n
+    d = draw(st.integers(0, 6)) if d is None else d
     coefs = st.fractions(min_value=-100, max_value=100, max_denominator=60)
-    terms = draw(st.dictionaries(st.sampled_from(monomials(n, d)), coefs))
+    if min_terms:
+        coefs = coefs.filter(bool)
+    terms = draw(st.dictionaries(st.sampled_from(monomials(n, d)), coefs, min_size=min_terms))
     return Form(n, d, terms)  # zero coefficients dropped; {} is the zero form
 
 
@@ -265,7 +330,28 @@ class TestSubstitutePwn:
         f = Form(3, 4, {})
         assert substitute_pwn(f, (2, 3, 1)) is f
 
-    @pytest.mark.parametrize("perm", [(1, 1, 2), (0, 1, 2), (1, 2, 4), (1, 2), (1, 2, 3, 4), ()])
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mixed_shapes_in_one_run(self, data):
+        # the kernel's tables are cached per (n, d): forms of two n and two d
+        # in one example, from cold caches, catch a table keyed on n or d alone
+        forms_module._pwn_tables.cache_clear()
+        ns = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
+        ds = data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
+        for n in ns:
+            for d in ds:
+                f = data.draw(forms(n, d, min_terms=1))
+                for perm in permutations(range(1, n + 1)):
+                    assert substitute_pwn(f, perm) == substitute_linear(f, sds_matrix(perm))
+
+    def test_caches_are_bounded(self):
+        caches = [obj for obj in vars(forms_module).values() if hasattr(obj, "cache_info")]
+        assert caches
+        for cache in caches:
+            assert cache.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("perm", [(1, 1, 2), (0, 1, 2), (1, 2, 4), (1, 2), (1, 2, 3, 4), (),
+                                      (1.0, 2.0, 3.0), (True, 2, 3), ("1", 2, 3)])
     def test_bad_perm_rejected(self, perm):
         f = parse_form(EXAMPLE2_TEXT, XYZ)
         with pytest.raises(FormError):
