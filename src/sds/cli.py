@@ -71,7 +71,7 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
     budget = args.node_budget
     if budget is None:
         env = os.environ.get(NODE_BUDGET_ENV)
-        budget = int(env) if env else 10**6
+        budget = int(env) if env else EngineConfig.node_budget
     cfg = EngineConfig(
         max_depth=args.max_depth,
         negativity_mode=args.negativity_mode,
@@ -148,6 +148,9 @@ def _read_certificate(path: str, vars: Sequence[str]) -> List[Tuple[Tuple, Form]
         payload = json.load(fh)
     if not isinstance(payload, list):
         raise ValueError("a certificate is a JSON list of {chain, form} objects")
+    if len(payload) > EngineConfig.node_budget:  # the most a default decide emits
+        raise ValueError(f"a certificate of {len(payload)} entries exceeds the limit of "
+                         f"{EngineConfig.node_budget}")
     for k, entry in enumerate(payload, start=1):
         if not (isinstance(entry, dict) and isinstance(entry.get("chain"), list)
                 and isinstance(entry.get("form"), str)):

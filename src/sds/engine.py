@@ -139,17 +139,21 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
         generated += want
         stats.forms_expanded += want
 
-        expanded: Dict[Form, List[Tuple[Form, bool, bool]]] = {}
+        # a form is expanded on its first visit only; later visits read its
+        # children's (child, negative, positive) here.  A pruned child is read
+        # back only as a certificate entry, so without one it is kept as None
+        expanded: Dict[Form, List[Tuple[Optional[Form], bool, bool]]] = {}
         seen = set()
         live: List[Tuple[Chain, Form]] = []
         nodes = collapsed = 0
         for chain, form in frontier:
             kids = expanded.setdefault(form, [])
             for i, p in enumerate(perms):
-                if i == len(kids):  # a form is expanded on its first visit only
+                if i == len(kids):
                     child = substitute_pwn(form, p)
-                    kids.append((child, is_trivially_negative(child, cfg.negativity_mode),
-                                 is_trivially_positive(child)))
+                    positive = is_trivially_positive(child)
+                    kids.append((child if cfg.emit_certificate or not positive else None,
+                                 is_trivially_negative(child, cfg.negativity_mode), positive))
                 child, negative, positive = kids[i]
                 child_chain = chain + (i + 1,)
                 if negative:
@@ -185,7 +189,7 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
     the frontier of the pruned substitution tree: walking from the root and
     expanding every non-certificate node, each branch must end on exactly
     one certificate chain, and no entry may be left unused.  A chain index
-    outside 1..n! raises MatrixError.
+    outside 1..n! or a chain longer than MAX_CHAIN_LENGTH raises MatrixError.
     """
     if not cert:
         return False

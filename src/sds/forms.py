@@ -134,10 +134,12 @@ _OPS = set("+-*^()/")
 # stack frames, well inside the interpreter's recursion limit
 MAX_NESTING = 100
 # a product or power is refused before it expands anything when its degree
-# (or a power's exponent) is above MAX_DEGREE, or when it would write more
-# than MAX_TERMS terms before like terms combine
+# (or a power's exponent) is above MAX_DEGREE, when it would write more
+# than MAX_TERMS terms before like terms combine, or when its coefficients
+# could need more than MAX_COEFF_BITS bits
 MAX_DEGREE = 1000
 MAX_TERMS = 200_000
+MAX_COEFF_BITS = 10_000
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -228,18 +230,20 @@ class _Parser:
                 return poly
 
     def term(self) -> Dict[Exponent, Fraction]:
-        poly = self.factor()
+        poly, bits = self.factor()
         while True:
             kind, val, at = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                rhs = self.factor()
-                _check_budget(_degree(poly) + _degree(rhs), len(poly) * len(rhs), at)
+                rhs, rhs_bits = self.factor()
+                bits += rhs_bits
+                _check_budget(_degree(poly) + _degree(rhs), len(poly) * len(rhs), bits, at)
                 poly = _mul(poly, rhs, self.nvars)
             else:
                 return poly
 
-    def factor(self) -> Dict[Exponent, Fraction]:
+    # factor and primary return a polynomial with a bound on its _coeff_bits
+    def factor(self) -> Tuple[Dict[Exponent, Fraction], int]:
         sign = 1
         while True:
             kind, val, _ = self.peek()
@@ -249,7 +253,7 @@ class _Parser:
                     sign = -sign
             else:
                 break
-        base = self.primary()
+        base, bits = self.primary()
         kind, val, caret = self.peek()
         if kind == "op" and val == "^":
             self.next()
@@ -259,11 +263,12 @@ class _Parser:
             k = int(val)
             if k > MAX_DEGREE:
                 raise ParseError(f"exponent {k} exceeds the limit of {MAX_DEGREE}", caret)
-            _check_budget(k * _degree(base), _power_writes(base, k, self.nvars), caret)
+            bits *= k
+            _check_budget(k * _degree(base), _power_writes(base, k, self.nvars), bits, caret)
             base = _pow(base, k, self.nvars)
-        return _scale(base, sign)
+        return _scale(base, sign), bits
 
-    def primary(self) -> Dict[Exponent, Fraction]:
+    def primary(self) -> Tuple[Dict[Exponent, Fraction], int]:
         kind, val, at = self.next()
         if kind == "int":
             num = int(val)
@@ -276,14 +281,14 @@ class _Parser:
                 den = int(v3)
                 if den == 0:
                     raise ParseError("zero denominator", at3)
-                return _const(Fraction(num, den), self.nvars)
-            return _const(Fraction(num), self.nvars)
+                return _const(Fraction(num, den), self.nvars), max(num.bit_length(), den.bit_length())
+            return _const(Fraction(num), self.nvars), num.bit_length()
         if kind == "name":
             if val not in self.varindex:
                 raise ParseError(f"unknown variable {val!r}", at)
             exp = [0] * self.nvars
             exp[self.varindex[val]] = 1
-            return {tuple(exp): Fraction(1)}
+            return {tuple(exp): Fraction(1)}, 1
         if kind == "op" and val == "(":
             if self.nesting == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
@@ -291,7 +296,7 @@ class _Parser:
             poly = self.expr()
             self.expect_op(")")
             self.nesting -= 1
-            return poly
+            return poly, _coeff_bits(poly)
         raise ParseError(f"unexpected {val or 'end of input'!r}", at)
 
 
@@ -316,11 +321,23 @@ def _power_writes(a: Dict[Exponent, Fraction], k: int, nvars: int) -> int:
     return writes
 
 
-def _check_budget(degree: int, writes: int, at: int) -> None:
+def _coeff_bits(p: Dict[Exponent, Fraction]) -> int:
+    """The larger of the bit lengths of p's absolute numerator sum over its
+    denominator lcm and of that lcm.  It bounds the bits of every numerator
+    and of the denominator of p; a product's is at most the sum of its
+    operands', and a k-th power's at most k times its base's."""
+    den = math.lcm(*(c.denominator for c in p.values()))
+    total = sum(abs(c.numerator) * (den // c.denominator) for c in p.values())
+    return max(den.bit_length(), total.bit_length())
+
+
+def _check_budget(degree: int, writes: int, bits: int, at: int) -> None:
     if degree > MAX_DEGREE:
         raise ParseError(f"degree {degree} exceeds the limit of {MAX_DEGREE}", at)
     if writes > MAX_TERMS:
         raise ParseError(f"expanding this would write more than {MAX_TERMS} terms", at)
+    if bits > MAX_COEFF_BITS:
+        raise ParseError(f"coefficients could need more than {MAX_COEFF_BITS} bits", at)
 
 
 def _const(c: Fraction, nvars: int) -> Dict[Exponent, Fraction]:

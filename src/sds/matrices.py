@@ -17,6 +17,9 @@ from typing import Sequence, Tuple
 Chain = Tuple[int, ...]
 
 MAX_PWN_ELEMENTS = 40320  # 8!; enumerating beyond this is refused
+# longer chains are refused: a certificate walk copies every prefix of its
+# chains, so its cost grows with the square of their length
+MAX_CHAIN_LENGTH = 5000
 
 
 class MatrixError(ValueError):
@@ -173,7 +176,10 @@ def enumerate_pwn(n: int) -> Tuple[SubMatrix, ...]:
 
 
 def check_chain(chain: Sequence[int], n: int) -> Chain:
-    """The chain as a tuple; MatrixError unless every index is an int in 1..n!."""
+    """The chain as a tuple; MatrixError unless it has at most
+    MAX_CHAIN_LENGTH indices and every index is an int in 1..n!."""
+    if len(chain) > MAX_CHAIN_LENGTH:
+        raise MatrixError(f"chain of length {len(chain)} exceeds the limit of {MAX_CHAIN_LENGTH}")
     count = len(pwn_perms(n))
     for idx in chain:
         if type(idx) is not int or not 1 <= idx <= count:  # bool is not an index

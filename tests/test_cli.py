@@ -68,7 +68,9 @@ class TestDecide:
 
     @pytest.mark.parametrize("text, vars", [("x^100000000-y^100000000", "x,y"),
                                             ("(x+y+z)^200", "x,y,z"),
-                                            ("(x+y+z)^100*(x+y+z)^100", "x,y,z")])
+                                            ("(x+y+z)^100*(x+y+z)^100", "x,y,z"),
+                                            ("((2^1000)^1000)^40*x", "x"),
+                                            ("((2^1000)^1000)^1000*x", "x")])
     def test_parser_budget_exit3_within_a_second(self, capsys, text, vars):
         start = time.perf_counter()
         code, out, err = run(capsys, "decide", text, "--vars", vars)
@@ -169,6 +171,31 @@ class TestVerifyCertificate:
         code, out, err = self.verify(capsys, tmp_path, "x^2", "x", payload)
         assert code == 3 and out == ""
         assert err.startswith("error:") and "internal error" not in err
+
+    def test_entry_budget_exit3_before_parsing(self, capsys, tmp_path, monkeypatch):
+        # the default node budget is the most entries a default decide emits;
+        # the count is checked before the entries' shape
+        parsed = []
+        real_parse = cli.parse_form
+
+        def counting_parse(text, vars):
+            parsed.append(text)
+            return real_parse(text, vars)
+
+        monkeypatch.setattr(cli, "parse_form", counting_parse)
+        start = time.perf_counter()
+        code, out, err = self.verify(capsys, tmp_path, "x^2", "x", [0] * (10**6 + 1))
+        assert time.perf_counter() - start < 1
+        assert parsed == ["x^2"]  # the source form only
+        assert code == 3 and out == ""
+        assert err == "error: a certificate of 1000001 entries exceeds the limit of 1000000\n"
+
+    def test_chain_length_budget_exit3(self, capsys, tmp_path):
+        start = time.perf_counter()
+        code, out, err = self.verify(capsys, tmp_path, "x^2", "x", [{"chain": [1] * 20000, "form": "x^2"}])
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err == "error: chain of length 20000 exceeds the limit of 5000\n"
 
     @pytest.mark.parametrize("bad_first", [True, False])
     def test_bad_index_exit3_in_any_entry_order(self, capsys, tmp_path, bad_first):

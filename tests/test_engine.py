@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,14 @@ from helpers import random_form
 F = Fraction
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
+XYZW = ["x", "y", "z", "w"]
+# the breadth benchmark's forms (perfbench/workloads.py): most children of
+# each layer are trivially positive
+BREADTH = {
+    "pd-4413": ("(4*x-4*y)^2+(1*y-4*z)^2+(3*z-1*w)^2+1/30*(x+y+z+w)^2", EngineConfig()),
+    "pd-5232": ("(2*x-5*y)^2+(3*y-2*z)^2+(2*z-3*w)^2+1/30*(x+y+z+w)^2", EngineConfig()),
+    "zero-interior": ("(3*x-2*y)^2+(4*y-3*z)^2+(5*z-4*w)^2", EngineConfig(node_budget=20000)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -249,3 +259,38 @@ class TestCertificates:
         # n = 1 has one child per level, so only the walk's depth is large
         f = parse_form("x^2", ["x"])
         assert verify_certificate(f, [((1,) * 3000, f)])
+
+
+class TestLayerMemo:
+    def test_layer_memory_holds_no_pruned_children(self):
+        # 2.84 MiB while the memo kept every child of a layer until its end
+        f = parse_form(BREADTH["pd-4413"][0], XYZW)
+        tracemalloc.start()
+        try:
+            v = yys_decide(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v == PositiveSemidefinite(depth=4)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("key", [*BREADTH, "example1-compat"])
+    def test_certificate_on_off_parity(self, key, example1):
+        # the memo keeps pruned children only for a certificate
+        if key == "example1-compat":
+            f, cfg = example1, EngineConfig().compat()
+        else:
+            f, cfg = parse_form(BREADTH[key][0], XYZW), BREADTH[key][1]
+        runs = []
+        for emit in (False, True):
+            stats = EngineStats()
+            runs.append((yys_decide(f, replace(cfg, emit_certificate=emit), stats), stats))
+        (off, off_stats), (on, on_stats) = runs
+        assert off_stats == on_stats
+        if isinstance(on, PositiveSemidefinite):
+            assert off == PositiveSemidefinite(depth=on.depth)
+            assert len(on.certificate) == on_stats.forms_pruned
+            if key != "pd-5232":  # its 9,684 entries take verify_certificate about 20 s
+                assert verify_certificate(f, on.certificate)
+        else:
+            assert off == on

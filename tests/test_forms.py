@@ -122,6 +122,42 @@ class TestParse:
             parse_form("(x+y)*(x+y)*(x+y)", XY)  # 3 terms times 2
         assert exc.value.pos == 11
 
+    @pytest.mark.parametrize("text", ["((2^1000)^1000)^40*x", "((2^1000)^1000)^1000*x"])
+    def test_coefficient_cap(self, text):
+        # 2^1000 has 1001 bits, so its 1000th power could need 1,001,000
+        with pytest.raises(ParseError, match="coefficients could need more than 10000 bits") as exc:
+            parse_form(text, XY)
+        assert exc.value.pos == 9
+
+    def test_coefficient_cap_boundary(self, monkeypatch):
+        # a literal's bound is the bits of its numerator or denominator, a
+        # variable's is 1; a product adds its factors' bounds, a power
+        # multiplies its base's by the exponent
+        monkeypatch.setattr(forms_module, "MAX_COEFF_BITS", 10)
+        assert parse_form("(2*x)^5", XY).terms == {(5, 0): 32}
+        with pytest.raises(ParseError, match="more than 10 bits") as exc:
+            parse_form("(2*x)^6", XY)
+        assert exc.value.pos == 5
+        assert parse_form("4*4*4*x", XY).terms == {(1, 0): 64}
+        with pytest.raises(ParseError, match="more than 10 bits") as exc:
+            parse_form("4*4*4*4*x", XY)
+        assert exc.value.pos == 5
+        with pytest.raises(ParseError, match="more than 10 bits") as exc:
+            parse_form("(1/8)^3*x", XY)
+        assert exc.value.pos == 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_coeff_bits_bound_products_and_powers(self, data):
+        n = data.draw(st.integers(1, 3))
+        a, b = (data.draw(forms(n, data.draw(st.integers(0, 3)))).terms for _ in range(2))
+        k = data.draw(st.integers(1, 5))
+        bits = forms_module._coeff_bits
+        for c in a.values():
+            assert max(c.numerator.bit_length(), c.denominator.bit_length()) <= bits(a)
+        assert bits(forms_module._mul(a, b, n)) <= bits(a) + bits(b)
+        assert bits(forms_module._pow(a, k, n)) <= k * bits(a)
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_power_writes_bound_the_expansion(self, data):

@@ -235,3 +235,10 @@ class TestStructuredMaps:
         for check in (check_chain, barycenter_image, compose_chain):
             with pytest.raises(MatrixError, match="out of range 1..6"):
                 check(chain, 3)
+
+    def test_chain_length_limit(self):
+        longest = (1,) * matrices.MAX_CHAIN_LENGTH
+        assert check_chain(list(longest), 2) == longest
+        for check in (check_chain, barycenter_image, compose_chain):
+            with pytest.raises(MatrixError, match="chain of length 5001 exceeds the limit of 5000"):
+                check(longest + (1,), 2)
