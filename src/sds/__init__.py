@@ -12,7 +12,6 @@ from .engine import (
     Inconclusive,
     PositiveSemidefinite,
     Verdict,
-    expand_once,
     verify_certificate,
     yys_decide,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "compose_chain",
     "enumerate_pwn",
     "evaluate",
-    "expand_once",
     "grid_min",
     "in_simplex",
     "is_nonlacunary_positive",

@@ -40,6 +40,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
 NODE_BUDGET_ENV = "SDS_NODE_BUDGET"
+MAX_CERTIFICATE_BYTES = 32 * 2**20  # json.load needs about 11 bytes of memory per byte
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,6 +145,8 @@ def _write_certificate(path: str, verdict: Verdict, vars: Sequence[str]) -> bool
 
 def _read_certificate(path: str, vars: Sequence[str]) -> List[Tuple[Tuple, Form]]:
     """The (chain, form) entries of a file in the format _write_certificate writes."""
+    if (size := os.stat(path).st_size) > MAX_CERTIFICATE_BYTES:
+        raise ValueError(f"a certificate file of {size} bytes exceeds the limit of {MAX_CERTIFICATE_BYTES}")
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, list):

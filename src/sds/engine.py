@@ -5,7 +5,9 @@ single-step substitution children.  Trivially positive children are pruned
 (and optionally recorded as certificate entries); a trivially negative child
 stops the search with an exact rational counterexample point.  An empty
 frontier is a positive-semidefiniteness certificate; depth and node budgets
-make non-termination a first-class Inconclusive outcome.
+make non-termination a first-class Inconclusive outcome.  A per-layer memo
+substitutes a form reached by several chains once; it is kept only where it
+is read, with a certificate or without dedup (dedup alone keeps forms distinct).
 """
 
 from __future__ import annotations
@@ -97,12 +99,6 @@ def _validate_config(cfg: EngineConfig, n: int) -> None:
         raise EngineError("node_budget must be at least n!")
 
 
-def expand_once(f: Form) -> List[Tuple[int, Form]]:
-    """The n! single-step substitution children, in enumeration order."""
-    perms = pwn_perms(f.nvars)
-    return [(i, substitute_pwn(f, p)) for i, p in enumerate(perms, start=1)]
-
-
 def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[EngineStats] = None) -> Verdict:
     """Decide nonnegativity of f on the nonnegative orthant.
 
@@ -131,6 +127,7 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
     nodes = 1
     cert_entries: List[Tuple[Chain, Form]] = []
     generated = 0
+    memo = cfg.emit_certificate or not cfg.dedup
 
     for depth in range(1, cfg.max_depth + 1):
         want = nodes * len(perms)
@@ -139,15 +136,15 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
         generated += want
         stats.forms_expanded += want
 
-        # a form is expanded on its first visit only; later visits read its
-        # children's (child, negative, positive) here.  A pruned child is read
-        # back only as a certificate entry, so without one it is kept as None
+        # with `memo`, later visits of a form read its children's (child,
+        # negative, positive) here; a pruned child is read back only as a
+        # certificate entry, so without one it is kept as None
         expanded: Dict[Form, List[Tuple[Optional[Form], bool, bool]]] = {}
         seen = set()
         live: List[Tuple[Chain, Form]] = []
         nodes = collapsed = 0
         for chain, form in frontier:
-            kids = expanded.setdefault(form, [])
+            kids = expanded.setdefault(form, []) if memo else []
             for i, p in enumerate(perms):
                 if i == len(kids):
                     child = substitute_pwn(form, p)

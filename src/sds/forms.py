@@ -502,13 +502,13 @@ def substitute_linear(f: Form, m) -> Form:
 
 @lru_cache(maxsize=8)  # one (n, d) per decide; a degree-1000 table holds tens of MB
 def _pwn_tables(n: int, d: int) -> tuple:
-    """Binomial rows 0..d, weights[j][e] = (L/(j+1))^e for e <= d, and L^d; L = lcm(1..n)."""
+    """Binomial rows 0..d, weights[j][e] = (L/(j+1))^e for e <= d, L^d and the shared output keys."""
     big_l = math.lcm(*range(1, n + 1))
     binom = [(1,)]
     for _ in range(d):
         binom.append((1, *(a + b for a, b in zip(binom[-1], binom[-1][1:])), 1))
     weights = tuple(tuple((big_l // j) ** e for e in range(d + 1)) for j in range(1, n + 1))
-    return tuple(binom), weights, big_l ** d
+    return tuple(binom), weights, big_l ** d, {}
 
 
 @lru_cache(maxsize=1024)
@@ -529,7 +529,9 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
     C = f.den and L = lcm(1..n), the coefficient of t^e is
     v_e · prod (L/j)^e_j / (C·L^d), where v_e is the coefficient of the
     shifted integer form f.nums.  Tables that depend on (n, d) or on the
-    perm alone come from bounded caches; perm entries must be ints.
+    perm alone come from bounded caches; perm entries must be ints.  Outputs
+    share one key tuple per monomial for each (n, d), from a map beside the
+    (n, d) tables that holds at most the C(d+n-1, n-1) monomials of degree d.
     """
     n, d = f.nvars, f.degree
     perm = tuple(perm)
@@ -542,7 +544,7 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
     poly: Dict[Exponent, int] = {
         tuple([exp[i] for i in src]): v for exp, v in f.nums.items()
     }
-    binom, weights, big_l_d = _pwn_tables(n, d)
+    binom, weights, big_l_d, shared = _pwn_tables(n, d)
     for k in range(n - 1):
         out: Dict[Exponent, int] = {}
         get = out.get
@@ -564,7 +566,7 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
         if v:
             for tab, e in zip(weights, exp):
                 v *= tab[e]
-            terms[exp] = Fraction(v, denom)
+            terms[shared.setdefault(exp, exp)] = Fraction(v, denom)
     return Form(n, d, terms)
 
 

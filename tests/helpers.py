@@ -64,3 +64,27 @@ def chains(max_n: int = 4, max_len: int = 5):
             st.lists(st.integers(1, factorial(n)), max_size=max_len).map(tuple),
         )
     )
+
+
+def monomials(n, d):
+    """The degree-d exponent vectors in n variables."""
+    out = []
+    for combo in combinations_with_replacement(range(n), d):
+        exp = [0] * n
+        for i in combo:
+            exp[i] += 1
+        out.append(tuple(exp))
+    return out
+
+
+@st.composite
+def forms(draw, n=None, d=None, min_terms=0):
+    """Forms in 1..4 variables of degree 0..6 (or the given n and d) with
+    signed rational coefficients, at least min_terms of them non-zero."""
+    n = draw(st.integers(1, 4)) if n is None else n
+    d = draw(st.integers(0, 6)) if d is None else d
+    coefs = st.fractions(min_value=-100, max_value=100, max_denominator=60)
+    if min_terms:
+        coefs = coefs.filter(bool)
+    terms = draw(st.dictionaries(st.sampled_from(monomials(n, d)), coefs, min_size=min_terms))
+    return Form(n, d, terms)  # zero coefficients dropped; {} is the zero form

@@ -190,6 +190,21 @@ class TestVerifyCertificate:
         assert code == 3 and out == ""
         assert err == "error: a certificate of 1000001 entries exceeds the limit of 1000000\n"
 
+    def test_file_size_limit_exit3_before_loading(self, capsys, tmp_path, monkeypatch):
+        payload = [{"chain": [], "form": "x^2"}]
+        size = len(json.dumps(payload))
+        loads = []
+        real_load = cli.json.load
+        monkeypatch.setattr(cli.json, "load", lambda fh: loads.append(fh) or real_load(fh))
+        monkeypatch.setattr(cli, "MAX_CERTIFICATE_BYTES", size - 1)
+        code, out, err = self.verify(capsys, tmp_path, "x^2", "x", payload)
+        assert code == 3 and out == "" and loads == []
+        assert err == f"error: a certificate file of {size} bytes exceeds the limit of {size - 1}\n"
+        # a file of exactly the limit is loaded and verified as before
+        monkeypatch.setattr(cli, "MAX_CERTIFICATE_BYTES", size)
+        code, out, err = self.verify(capsys, tmp_path, "x^2", "x", payload)
+        assert (code, out, err) == (0, "certificate valid\n", "") and len(loads) == 1
+
     def test_chain_length_budget_exit3(self, capsys, tmp_path):
         start = time.perf_counter()
         code, out, err = self.verify(capsys, tmp_path, "x^2", "x", [{"chain": [1] * 20000, "form": "x^2"}])

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -5,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from sds.corpus import EXAMPLE1_TEXT, EXAMPLE2_TEXT
+from sds import engine
+from sds.corpus import CORPUS_VARS, EXAMPLE1_TEXT, EXAMPLE2_TEXT, corpus_text
 from sds.engine import (
     Counterexample,
     EngineConfig,
@@ -13,7 +15,6 @@ from sds.engine import (
     EngineStats,
     Inconclusive,
     PositiveSemidefinite,
-    expand_once,
     verify_certificate,
     yys_decide,
 )
@@ -24,8 +25,9 @@ from sds.forms import (
     is_trivially_positive,
     parse_form,
     substitute_linear,
+    substitute_pwn,
 )
-from sds.matrices import compose_chain
+from sds.matrices import compose_chain, pwn_perms
 from sds.oracle import GridSpec, grid_min
 
 from helpers import random_form
@@ -41,6 +43,11 @@ BREADTH = {
     "pd-5232": ("(2*x-5*y)^2+(3*y-2*z)^2+(2*z-3*w)^2+1/30*(x+y+z+w)^2", EngineConfig()),
     "zero-interior": ("(3*x-2*y)^2+(4*y-3*z)^2+(5*z-4*w)^2", EngineConfig(node_budget=20000)),
 }
+
+
+def expand_once(f):
+    """The n! single-step children of f as (index, child), in enumeration order."""
+    return [(i, substitute_pwn(f, p)) for i, p in enumerate(pwn_perms(f.nvars), start=1)]
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +280,41 @@ class TestLayerMemo:
             tracemalloc.stop()
         assert v == PositiveSemidefinite(depth=4)
         assert peak < 2**20
+
+    def test_zero_interior_peak_memory(self):
+        # 1.62 MiB with a memo on every layer and a fresh exponent tuple per
+        # child's monomial; about 1.3 and 1.1 MiB with either one alone
+        f, cfg = parse_form(BREADTH["zero-interior"][0], XYZW), BREADTH["zero-interior"][1]
+        tracemalloc.start()
+        try:
+            v = yys_decide(f, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v == Inconclusive(depth_reached=4, live_forms=642)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("cfg, calls", [(EngineConfig(), 25), (EngineConfig().compat(), 49)],
+                             ids=["default", "compat"])
+    def test_memo_kept_where_read(self, cfg, calls, monkeypatch):
+        # without dedup a form repeats within a layer, and the memo substitutes
+        # it once: compat budgets 690 children for p6 but computes 49
+        made = []
+        monkeypatch.setattr(engine, "substitute_pwn", lambda f, p: made.append(p) or substitute_pwn(f, p))
+        v = yys_decide(parse_form(corpus_text("example3-p6"), CORPUS_VARS), cfg)
+        assert isinstance(v, Counterexample)
+        assert len(made) == calls
+
+    @pytest.mark.parametrize("key", ["pd-5232", "example3-p6"])
+    def test_children_share_exponent_keys(self, key):
+        if key == "example3-p6":
+            f = parse_form(corpus_text(key), CORPUS_VARS)
+        else:
+            f = parse_form(BREADTH[key][0], XYZW)
+        children = [child for _, child in expand_once(f)]
+        keys = {id(e) for child in children for e in child.nums}
+        assert len(keys) <= math.comb(f.degree + f.nvars - 1, f.nvars - 1)
+        assert sum(len(child.nums) for child in children) > len(keys)
 
     @pytest.mark.parametrize("key", [*BREADTH, "example1-compat"])
     def test_certificate_on_off_parity(self, key, example1):

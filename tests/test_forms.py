@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +22,7 @@ from sds.forms import (
 )
 from sds.matrices import SubMatrix, compose_chain, enumerate_pwn, sds_matrix
 
-from helpers import random_chain, random_form, random_point
+from helpers import forms, monomials, random_chain, random_form, random_point
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -270,30 +270,6 @@ class TestSubstitute:
             substitute_linear(f, SubMatrix.identity(3))
 
 
-def monomials(n, d):
-    """The degree-d exponent vectors in n variables."""
-    out = []
-    for combo in combinations_with_replacement(range(n), d):
-        exp = [0] * n
-        for i in combo:
-            exp[i] += 1
-        out.append(tuple(exp))
-    return out
-
-
-@st.composite
-def forms(draw, n=None, d=None, min_terms=0):
-    """Forms in 1..4 variables of degree 0..6 (or the given n and d) with
-    signed rational coefficients, at least min_terms of them non-zero."""
-    n = draw(st.integers(1, 4)) if n is None else n
-    d = draw(st.integers(0, 6)) if d is None else d
-    coefs = st.fractions(min_value=-100, max_value=100, max_denominator=60)
-    if min_terms:
-        coefs = coefs.filter(bool)
-    terms = draw(st.dictionaries(st.sampled_from(monomials(n, d)), coefs, min_size=min_terms))
-    return Form(n, d, terms)  # zero coefficients dropped; {} is the zero form
-
-
 def fraction_value(f, p):
     """Reference evaluation: sum of coef * prod x^e over the Fraction view."""
     coords = [Fraction(x) for x in p]
@@ -333,6 +309,13 @@ class TestIntegerForm:
     def test_round_trip_through_terms(self, f):
         g = Form(f.nvars, f.degree, f.terms)
         assert g == f and hash(g) == hash(f) and g.key() == f.key()
+
+    @settings(max_examples=150, deadline=None)
+    @given(forms(min_terms=1))
+    def test_round_trip_through_text(self, f):
+        # the text of the zero form is "0", which carries no declared degree
+        vars = ["x", "y", "z", "w"][:f.nvars]
+        assert parse_form(f.to_text(vars), vars) == f
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
