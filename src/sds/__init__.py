@@ -29,16 +29,7 @@ from .forms import (
     substitute_pwn,
 )
 from .geometry import Cell, cell_of_chain, locate_point, max_diameter_at_depth, squared_diameter
-from .matrices import (
-    SubMatrix,
-    barycenter_image,
-    compose_chain,
-    enumerate_pwn,
-    is_normalized,
-    permutation_matrix,
-    sds_matrix,
-    weighted_matrix,
-)
+from .matrices import barycenter_image
 from .oracle import GridSpec, grid_min, random_negative_search
 
 __version__ = "0.1.0"
@@ -54,29 +45,22 @@ __all__ = [
     "Inconclusive",
     "ParseError",
     "PositiveSemidefinite",
-    "SubMatrix",
     "Verdict",
     "barycenter_image",
     "cell_of_chain",
-    "compose_chain",
-    "enumerate_pwn",
     "evaluate",
     "grid_min",
     "in_simplex",
     "is_nonlacunary_positive",
-    "is_normalized",
     "is_trivially_negative",
     "is_trivially_positive",
     "locate_point",
     "max_diameter_at_depth",
     "parse_form",
-    "permutation_matrix",
     "random_negative_search",
-    "sds_matrix",
     "squared_diameter",
     "substitute_linear",
     "substitute_pwn",
     "verify_certificate",
-    "weighted_matrix",
     "yys_decide",
 ]

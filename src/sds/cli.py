@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -39,8 +38,7 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
-NODE_BUDGET_ENV = "SDS_NODE_BUDGET"
-MAX_CERTIFICATE_BYTES = 32 * 2**20  # json.load needs about 11 bytes of memory per byte
+MAX_CERTIFICATE_BYTES = 32 * 2**20  # json.loads needs about 11 bytes of memory per byte
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +59,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="coeffs negativity, no root check, no dedup (reference semantics)",
     )
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=int, default=EngineConfig.node_budget)
     p.add_argument("--certificate-out", metavar="PATH", default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -69,16 +67,12 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
     if args.certificate_out == "":
         raise ValueError("--certificate-out needs a non-empty path")
-    budget = args.node_budget
-    if budget is None:
-        env = os.environ.get(NODE_BUDGET_ENV)
-        budget = int(env) if env else EngineConfig.node_budget
     cfg = EngineConfig(
         max_depth=args.max_depth,
         negativity_mode=args.negativity_mode,
         dedup=not args.no_dedup,
         root_check=not args.no_root_check,
-        node_budget=budget,
+        node_budget=args.node_budget,
         emit_certificate=args.certificate_out is not None,
     )
     if args.compat:
@@ -145,10 +139,11 @@ def _write_certificate(path: str, verdict: Verdict, vars: Sequence[str]) -> bool
 
 def _read_certificate(path: str, vars: Sequence[str]) -> List[Tuple[Tuple, Form]]:
     """The (chain, form) entries of a file in the format _write_certificate writes."""
-    if (size := os.stat(path).st_size) > MAX_CERTIFICATE_BYTES:
-        raise ValueError(f"a certificate file of {size} bytes exceeds the limit of {MAX_CERTIFICATE_BYTES}")
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    with open(path, "rb") as fh:  # a pipe has no size to check beforehand
+        data = fh.read(MAX_CERTIFICATE_BYTES + 1)
+    if len(data) > MAX_CERTIFICATE_BYTES:
+        raise ValueError(f"a certificate file exceeds the limit of {MAX_CERTIFICATE_BYTES} bytes")
+    payload = json.loads(data.decode("utf-8"))  # bad UTF-8 is a ValueError too
     if not isinstance(payload, list):
         raise ValueError("a certificate is a JSON list of {chain, form} objects")
     if len(payload) > EngineConfig.node_budget:  # the most a default decide emits

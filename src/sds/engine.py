@@ -29,7 +29,7 @@ from .forms import (
     substitute_linear,
     substitute_pwn,
 )
-from .matrices import Chain, barycenter_image, check_chain, compose_chain, pwn_perms
+from .matrices import Chain, barycenter_image, chain_vertices, check_chain, pwn_perms
 
 Certificate = Tuple[Tuple[Chain, Form], ...]
 
@@ -181,12 +181,15 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
 def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
     """Recompute and check a positive-termination certificate from scratch.
 
-    Valid iff every entry's form equals the full substitution along its
-    chain, every entry is trivially positive, and the chains exactly cover
-    the frontier of the pruned substitution tree: walking from the root and
-    expanding every non-certificate node, each branch must end on exactly
-    one certificate chain, and no entry may be left unused.  A chain index
-    outside 1..n! or a chain longer than MAX_CHAIN_LENGTH raises MatrixError.
+    Valid iff every entry's form equals f(M·T), M the product of its
+    chain's matrices, every entry is trivially positive, and the chains
+    exactly cover the frontier of the pruned substitution tree: walking from
+    the root and descending into every non-certificate chain, each branch
+    must end on exactly one certificate chain, and no entry may be left
+    unused.  M is built from `chain_vertices` and f(M·T) is expanded by the
+    generic `substitute_linear`, so no code is shared with `yys_decide`'s
+    kernel.  A chain index outside 1..n! or a chain longer than
+    MAX_CHAIN_LENGTH raises MatrixError.
     """
     if not cert:
         return False
@@ -196,24 +199,23 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
     if len(cert_map) != len(cert):  # a duplicate chain
         return False
     for chain, form in cert_map.items():
-        if form != substitute_linear(f, compose_chain(chain, n)):
+        verts, den = chain_vertices(chain, n)  # the columns of M are verts / den
+        if form != substitute_linear(f, [[Fraction(x, den) for x in row] for row in zip(*verts)]):
             return False
         if not is_trivially_positive(form):
             return False
 
-    # depth first in index order; a node is substituted only to expand it
-    perms = pwn_perms(n)
+    # depth first in index order, over chains alone
+    count = len(pwn_perms(n))
     max_len = max(len(chain) for chain in cert_map)
     seen = set()
-    stack: List[Tuple[Chain, Form, Optional[Tuple[int, ...]]]] = [((), f, None)]
+    stack: List[Chain] = [()]
     while stack:
-        chain, form, perm = stack.pop()
+        chain = stack.pop()
         if chain in cert_map:
             seen.add(chain)
             continue
         if len(chain) >= max_len:
             return False
-        if perm is not None:
-            form = substitute_pwn(form, perm)
-        stack.extend((chain + (i,), form, perms[i - 1]) for i in range(len(perms), 0, -1))
+        stack.extend(chain + (i,) for i in range(count, 0, -1))
     return len(seen) == len(cert_map)

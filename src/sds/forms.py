@@ -441,15 +441,16 @@ def _int_mul(a: Dict[Exponent, int], b: Dict[Exponent, int]) -> Dict[Exponent, i
     return {e: c for e, c in out.items() if c}
 
 
-def substitute_linear(f: Form, m) -> Form:
+def substitute_linear(f: Form, rows: Sequence[Sequence]) -> Form:
     """Expanded form g with g(T) = f(M·T) for an exact square matrix M.
 
-    `m` may be a SubMatrix or any sequence of rows of rationals.  The kernel
-    clears denominators and runs in integer arithmetic: with S the lcm of
-    the matrix denominators and C = f.den, f(M·T) = (1/(C·S^d)) · f_C(S·M·T)
-    where f_C = f.nums has integer coefficients.
+    `rows` are M's rows of rationals.  The generic expansion, sharing no
+    code with `substitute_pwn`, is what `verify_certificate` checks the
+    certificate's forms with.  The kernel clears denominators and runs in
+    integer arithmetic: with S the lcm of the matrix denominators and
+    C = f.den, f(M·T) = (1/(C·S^d)) · f_C(S·M·T) where f_C = f.nums has
+    integer coefficients.
     """
-    rows = getattr(m, "rows", m)
     n = f.nvars
     if len(rows) != n or any(len(r) != n for r in rows):
         raise FormError(f"matrix is not {n}x{n}")
@@ -522,7 +523,7 @@ def _pwn_source(perm: Tuple[int, ...]) -> Tuple[int, ...]:
 def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
     """Expanded form g with g(T) = f(P_perm·W_n·T), without any matrix.
 
-    Equal to substitute_linear(f, sds_matrix(perm)), computed in integer
+    Equal to substitute_linear(f, rows of P_perm·W_n), computed in integer
     arithmetic from the structure of P·W_n: x_i = u_perm[i] (a relabel),
     u_k = z_k + ... + z_n (the Taylor shifts u_k -> u_k + u_k+1 for
     k = 1..n-1, in that order) and z_j = t_j / j (a diagonal scale).  With

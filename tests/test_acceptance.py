@@ -16,10 +16,10 @@ from sds.cli import main as cli_main
 from sds.corpus import CORPUS_NAMES, EXAMPLE1_TEXT, EXAMPLE2_TEXT, corpus_form
 from sds.engine import Counterexample, EngineConfig, PositiveSemidefinite, yys_decide
 from sds.forms import evaluate, parse_form, substitute_linear
-from sds.matrices import compose_chain, enumerate_pwn, is_normalized
 from sds.oracle import GridSpec, grid_min
 
 from helpers import random_chain, random_form, random_point
+from reference import compose_chain, enumerate_pwn, is_normalized
 
 F = Fraction
 XYZ = ["x", "y", "z"]

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import time
 
 import pytest
@@ -83,14 +85,6 @@ class TestDecide:
         path.write_text(EXAMPLE1_TEXT + "\n")
         code, _, _ = run(capsys, "decide", "--file", str(path), "--vars", "x,y,z")
         assert code == 0
-
-    def test_node_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SDS_NODE_BUDGET", "6")
-        code, out, _ = run(
-            capsys, "decide", EXAMPLE1_TEXT, "--vars", "x,y,z", "--format", "json"
-        )
-        assert code == 2
-        assert json.loads(out)["config"]["node_budget"] == 6
 
     def test_certificate_roundtrip(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
@@ -194,16 +188,49 @@ class TestVerifyCertificate:
         payload = [{"chain": [], "form": "x^2"}]
         size = len(json.dumps(payload))
         loads = []
-        real_load = cli.json.load
-        monkeypatch.setattr(cli.json, "load", lambda fh: loads.append(fh) or real_load(fh))
+        real_loads = cli.json.loads
+        monkeypatch.setattr(cli.json, "loads", lambda s, **kw: loads.append(s) or real_loads(s, **kw))
         monkeypatch.setattr(cli, "MAX_CERTIFICATE_BYTES", size - 1)
         code, out, err = self.verify(capsys, tmp_path, "x^2", "x", payload)
         assert code == 3 and out == "" and loads == []
-        assert err == f"error: a certificate file of {size} bytes exceeds the limit of {size - 1}\n"
+        assert err == f"error: a certificate file exceeds the limit of {size - 1} bytes\n"
         # a file of exactly the limit is loaded and verified as before
         monkeypatch.setattr(cli, "MAX_CERTIFICATE_BYTES", size)
         code, out, err = self.verify(capsys, tmp_path, "x^2", "x", payload)
         assert (code, out, err) == (0, "certificate valid\n", "") and len(loads) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_file_size_limit_on_a_pipe(self, capsys, tmp_path, monkeypatch):
+        # a pipe reports size 0, so the limit is checked on the bytes read
+        data = json.dumps([{"chain": [], "form": "x^2"}]).encode()
+        loads = []
+        real_loads = cli.json.loads
+        monkeypatch.setattr(cli.json, "loads", lambda s, **kw: loads.append(s) or real_loads(s, **kw))
+
+        def verify_through_pipe(limit):
+            fifo = tmp_path / f"cert-{limit}"
+            os.mkfifo(fifo)
+
+            def write():
+                try:
+                    with open(fifo, "wb") as fh:
+                        fh.write(data)
+                except BrokenPipeError:
+                    pass
+
+            writer = threading.Thread(target=write, daemon=True)
+            writer.start()
+            monkeypatch.setattr(cli, "MAX_CERTIFICATE_BYTES", limit)
+            result = run(capsys, "verify-certificate", "x^2", "--vars", "x", "--certificate", str(fifo))
+            writer.join(5)
+            assert not writer.is_alive()
+            return result
+
+        code, out, err = verify_through_pipe(len(data) - 1)
+        assert code == 3 and out == "" and loads == []
+        assert err == f"error: a certificate file exceeds the limit of {len(data) - 1} bytes\n"
+        assert verify_through_pipe(len(data)) == (0, "certificate valid\n", "")
+        assert len(loads) == 1
 
     def test_chain_length_budget_exit3(self, capsys, tmp_path):
         start = time.perf_counter()

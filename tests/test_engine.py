@@ -27,10 +27,11 @@ from sds.forms import (
     substitute_linear,
     substitute_pwn,
 )
-from sds.matrices import compose_chain, pwn_perms
+from sds.matrices import pwn_perms
 from sds.oracle import GridSpec, grid_min
 
 from helpers import random_form
+from reference import compose_chain
 
 F = Fraction
 XY = ["x", "y"]
@@ -261,6 +262,26 @@ class TestCertificates:
     def test_duplicate_chain_rejected(self, example1):
         cert = list(yys_decide(example1, EngineConfig(emit_certificate=True)).certificate)
         assert not verify_certificate(example1, cert + cert[:1])
+
+    @pytest.mark.parametrize("tamper", ["none", "negated", "missing", "extraneous", "duplicate"])
+    def test_verifier_runs_without_the_kernel(self, example1, tamper, monkeypatch):
+        cert = list(yys_decide(example1, EngineConfig(emit_certificate=True)).certificate)
+        assert max(len(chain) for chain, _ in cert) == 3
+
+        def no_kernel(*args):
+            raise AssertionError("verify_certificate called substitute_pwn")
+
+        monkeypatch.setattr(engine, "substitute_pwn", no_kernel)
+        chain, form = cert[0]
+        extra_chain = cert[-1][0] + (1,)
+        cert = {
+            "none": cert,
+            "negated": [(chain, Form(3, 6, {e: -c for e, c in form.terms.items()}))] + cert[1:],
+            "missing": cert[1:],
+            "extraneous": cert + [(extra_chain, substitute_linear(example1, compose_chain(extra_chain, 3)))],
+            "duplicate": cert + cert[:1],
+        }[tamper]
+        assert verify_certificate(example1, cert) == (tamper == "none")
 
     def test_long_chain_walk_is_iterative(self):
         # n = 1 has one child per level, so only the walk's depth is large

@@ -20,9 +20,9 @@ from sds.forms import (
     substitute_linear,
     substitute_pwn,
 )
-from sds.matrices import SubMatrix, compose_chain, enumerate_pwn, sds_matrix
 
 from helpers import forms, monomials, random_chain, random_form, random_point
+from reference import SubMatrix, compose_chain, enumerate_pwn, sds_matrix
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]

@@ -16,9 +16,10 @@ from sds.geometry import (
     max_diameter_at_depth,
     squared_diameter,
 )
-from sds.matrices import MatrixError, compose_chain, enumerate_pwn
+from sds.matrices import MatrixError
 
 from helpers import chains
+from reference import compose_chain, enumerate_pwn
 
 F = Fraction
 

