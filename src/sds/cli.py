@@ -28,9 +28,9 @@ from .engine import (
     verify_certificate,
     yys_decide,
 )
-from .forms import Form, FormError, parse_form
+from .forms import NEGATIVITY_MODES, Form, FormError, parse_form
 from .geometry import cell_count, cell_of_chain, squared_diameter
-from .matrices import pwn_perms
+from .matrices import check_length, pwn_perms
 from .oracle import GridSpec, grid_min, random_negative_search
 
 EXIT_PSD = 0
@@ -50,8 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-depth", type=int, default=30)
-    p.add_argument("--negativity-mode", choices=["value", "coeffs"], default="value")
+    p.add_argument("--max-depth", type=int, default=EngineConfig.max_depth)
+    p.add_argument("--negativity-mode", choices=NEGATIVITY_MODES, default=EngineConfig.negativity_mode)
     p.add_argument("--no-dedup", action="store_true")
     p.add_argument("--no-root-check", action="store_true")
     p.add_argument(
@@ -189,12 +189,8 @@ def _run_decide(args: argparse.Namespace, text: str, vars: Sequence[str]) -> int
 
 
 def _split_vars(spec: str) -> List[str]:
-    names = [v.strip() for v in spec.split(",") if v.strip()]
-    if not names:
-        raise FormError("empty variable list")
-    if len(set(names)) != len(names):
-        raise FormError("duplicate variable names")
-    return names
+    """The names in a comma-separated list; parse_form refuses an empty or repeated one."""
+    return [v.strip() for v in spec.split(",") if v.strip()]
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
@@ -231,6 +227,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_subdivision(args: argparse.Namespace) -> int:
     n = args.nvars
     cell_count(n, args.depth)  # refuses past the cell budget before any cell is built
+    check_length(args.depth)  # n = 1 has one cell of every depth
     cells = []
     for chain in product(range(1, len(pwn_perms(n)) + 1), repeat=args.depth):
         cell = cell_of_chain(chain, n)

@@ -19,6 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .forms import (
     COEFFS_MODE,
+    MAX_COEFF_BITS,
+    MAX_TERMS,
     Form,
     NEGATIVITY_MODES,
     Point,
@@ -112,10 +114,10 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
     if stats is None:
         stats = EngineStats()
     perms = pwn_perms(n)
-    bary = tuple(Fraction(1, n) for _ in range(n))
 
     if cfg.root_check and is_trivially_negative(f, cfg.negativity_mode):
-        return Counterexample(chain=(), point=bary, value=evaluate(f, bary))
+        point = barycenter_image((), n)
+        return Counterexample(chain=(), point=point, value=evaluate(f, point))
     if is_trivially_positive(f):
         cert = ((((), f)),) if cfg.emit_certificate else None
         return PositiveSemidefinite(depth=0, certificate=cert)
@@ -189,13 +191,21 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
     unused.  M is built from `chain_vertices` and f(M·T) is expanded by the
     generic `substitute_linear`, so no code is shared with `yys_decide`'s
     kernel.  A chain index outside 1..n! or a chain longer than
-    MAX_CHAIN_LENGTH raises MatrixError.
+    MAX_CHAIN_LENGTH raises MatrixError.  Then EngineError refuses, before
+    any expansion, work past the parser's budgets: over MAX_TERMS terms
+    written, n·C(d+n-1, n) for one power of a row of M, or over
+    MAX_COEFF_BITS denominator bits, len(chain)·d·⌈log2 lcm(1..n)⌉.
     """
     if not cert:
         return False
-    n = f.nvars
+    n, d = f.nvars, f.degree
     # every index is checked before any substitution, whatever the entry order
     cert_map: Dict[Chain, Form] = {check_chain(chain, n): form for chain, form in cert}
+    max_len = max(map(len, cert_map))
+    if max_len and n * math.comb(d + n - 1, n) > MAX_TERMS:
+        raise EngineError(f"verifying a degree-{d} form in {n} variables could write over {MAX_TERMS} terms")
+    if max_len * d * (math.lcm(*range(1, n + 1)) - 1).bit_length() > MAX_COEFF_BITS:
+        raise EngineError(f"verifying a length-{max_len} chain at degree {d} could need over {MAX_COEFF_BITS} bits")
     if len(cert_map) != len(cert):  # a duplicate chain
         return False
     for chain, form in cert_map.items():
@@ -207,7 +217,6 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
 
     # depth first in index order, over chains alone
     count = len(pwn_perms(n))
-    max_len = max(len(chain) for chain in cert_map)
     seen = set()
     stack: List[Chain] = [()]
     while stack:

@@ -41,7 +41,7 @@ class Form:
     declared degree is kept even for the zero form.
     """
 
-    __slots__ = ("nvars", "degree", "den", "nums", "_key", "_hash", "_terms")
+    __slots__ = ("nvars", "degree", "den", "nums", "_hash")
 
     def __init__(self, nvars: int, degree: int, terms: Mapping[Exponent, Fraction]):
         if nvars < 1:
@@ -75,20 +75,16 @@ class Form:
         g = math.gcd(den, *nums.values())
         self.nvars, self.degree, self.den = nvars, degree, den // g
         self.nums = {e: v // g for e, v in nums.items() if v}
-        self._key = self._hash = self._terms = None
+        self._hash = None
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
-        """Read-only view of the coefficients as Fractions, built on first use."""
-        if self._terms is None:
-            self._terms = MappingProxyType({e: Fraction(v, self.den) for e, v in self.nums.items()})
-        return self._terms
+        """Read-only view of the coefficients as Fractions, built on each call."""
+        return MappingProxyType({e: Fraction(v, self.den) for e, v in self.nums.items()})
 
     def key(self) -> tuple:
         """Canonical hashable identity: equal forms, and only those, have equal keys."""
-        if self._key is None:
-            self._key = (self.nvars, self.degree, self.den, tuple(sorted(self.nums.items())))
-        return self._key
+        return (self.nvars, self.degree, self.den, tuple(sorted(self.nums.items())))
 
     def __eq__(self, other: object) -> bool:
         return self is other or isinstance(other, Form) and (
@@ -176,7 +172,7 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 class _Parser:
     """Recursive-descent parser for the input grammar.
 
-    expr   := ['+'|'-'] term (('+'|'-') term)*
+    expr   := term (('+'|'-') term)*
     term   := factor ('*' factor)*
     factor := ('+'|'-')* primary ('^' INT)?
     primary:= INT ['/' INT] | NAME | '(' expr ')'
@@ -214,12 +210,7 @@ class _Parser:
         return poly
 
     def expr(self) -> Dict[Exponent, Fraction]:
-        kind, val, _ = self.peek()
-        sign = 1
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        poly = _scale(self.term(), sign)
+        poly = self.term()  # a leading sign belongs to the first factor
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
@@ -364,6 +355,7 @@ def _add(a: Dict[Exponent, Fraction], b: Dict[Exponent, Fraction]) -> Dict[Expon
 
 
 def _mul(a: Dict[Exponent, Fraction], b: Dict[Exponent, Fraction], nvars: int) -> Dict[Exponent, Fraction]:
+    """The sparse product of a and b, Fraction or int coefficients alike."""
     out: Dict[Exponent, Fraction] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -429,27 +421,15 @@ def evaluate(f: Form, p: Sequence) -> Fraction:
     return Fraction(total, f.den * big_b ** f.degree)
 
 
-def _int_mul(a: Dict[Exponent, int], b: Dict[Exponent, int]) -> Dict[Exponent, int]:
-    if len(a) > len(b):
-        a, b = b, a
-    out: Dict[Exponent, int] = {}
-    get = out.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
 def substitute_linear(f: Form, rows: Sequence[Sequence]) -> Form:
     """Expanded form g with g(T) = f(M·T) for an exact square matrix M.
 
     `rows` are M's rows of rationals.  The generic expansion, sharing no
     code with `substitute_pwn`, is what `verify_certificate` checks the
     certificate's forms with.  The kernel clears denominators and runs in
-    integer arithmetic: with S the lcm of the matrix denominators and
-    C = f.den, f(M·T) = (1/(C·S^d)) · f_C(S·M·T) where f_C = f.nums has
-    integer coefficients.
+    integer arithmetic with the parser's `_mul`: with S the lcm of the
+    matrix denominators and C = f.den, f(M·T) = (1/(C·S^d)) · f_C(S·M·T)
+    where f_C = f.nums has integer coefficients.
     """
     n = f.nvars
     if len(rows) != n or any(len(r) != n for r in rows):
@@ -458,10 +438,7 @@ def substitute_linear(f: Form, rows: Sequence[Sequence]) -> Form:
         return f
 
     entries = [[Fraction(x) for x in r] for r in rows]
-    s = 1
-    for r in entries:
-        for x in r:
-            s = s * x.denominator // math.gcd(s, x.denominator)
+    s = math.lcm(*(x.denominator for r in entries for x in r))
 
     # integer linear images: variable i maps to row i of S·M
     zero = (0,) * n
@@ -482,7 +459,7 @@ def substitute_linear(f: Form, rows: Sequence[Sequence]) -> Form:
     def power(i: int, k: int) -> Dict[Exponent, int]:
         tab = pow_tabs[i]
         while len(tab) <= k:
-            tab.append(_int_mul(tab[-1], images[i]))
+            tab.append(_mul(tab[-1], images[i], n))
         return tab[k]
 
     acc: Dict[Exponent, int] = {}
@@ -494,7 +471,7 @@ def substitute_linear(f: Form, rows: Sequence[Sequence]) -> Form:
             continue
         prod = factors[0]
         for fac in factors[1:]:
-            prod = _int_mul(prod, fac)
+            prod = _mul(prod, fac, n)
         for e, v in prod.items():
             acc[e] = acc.get(e, 0) + ic * v
 

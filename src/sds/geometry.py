@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .forms import Point, in_simplex
-from .matrices import Chain, chain_vertices, pwn_perms, pwn_preimage, pwn_step
+from .matrices import Chain, chain_vertices, check_length, pwn_perms, pwn_preimage, pwn_step
 
 DEFAULT_CELL_BUDGET = 10**6
 
@@ -94,7 +94,8 @@ def locate_point(p: Sequence, depth: int) -> Chain:
 
     At each level the point is pulled back through the first permutation
     whose preimage has non-negative coordinates; cells with a shared face
-    therefore resolve to the smallest chain.
+    therefore resolve to the smallest chain.  A depth above
+    MAX_CHAIN_LENGTH is refused (MatrixError) before any step.
     """
     coords = tuple(Fraction(x) for x in p)
     if not in_simplex(coords):
@@ -103,7 +104,7 @@ def locate_point(p: Sequence, depth: int) -> Chain:
     perms = pwn_perms(n)
     chain: List[int] = []
     current = coords
-    for _ in range(depth):
+    for _ in range(check_length(depth)):
         for i, p in enumerate(perms, start=1):
             t = pwn_preimage(p, current)
             if all(x >= 0 for x in t):

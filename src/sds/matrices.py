@@ -39,11 +39,17 @@ def pwn_perms(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(permutations(range(1, n + 1)))
 
 
+def check_length(length: int) -> int:
+    """`length`; MatrixError if it is above MAX_CHAIN_LENGTH."""
+    if length > MAX_CHAIN_LENGTH:
+        raise MatrixError(f"chain of length {length} exceeds the limit of {MAX_CHAIN_LENGTH}")
+    return length
+
+
 def check_chain(chain: Sequence[int], n: int) -> Chain:
     """The chain as a tuple; MatrixError unless it has at most
     MAX_CHAIN_LENGTH indices and every index is an int in 1..n!."""
-    if len(chain) > MAX_CHAIN_LENGTH:
-        raise MatrixError(f"chain of length {len(chain)} exceeds the limit of {MAX_CHAIN_LENGTH}")
+    check_length(len(chain))
     count = len(pwn_perms(n))
     for idx in chain:
         if type(idx) is not int or not 1 <= idx <= count:  # bool is not an index

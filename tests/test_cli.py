@@ -249,6 +249,21 @@ class TestVerifyCertificate:
         assert err == "error: chain index 7 out of range 1..2\n"
 
 
+    @pytest.mark.parametrize("d, chain, vars", [(40, [1], "x,y,z,w"), (200, [1] * 400, "x,y")])
+    def test_expansion_budget_exit3_within_a_second(self, capsys, tmp_path, d, chain, vars):
+        text = "+".join(f"{v}^{d}" for v in vars.split(","))
+        start = time.perf_counter()
+        code, out, err = self.verify(capsys, tmp_path, text, vars, [{"chain": chain, "form": "x^2"}])
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err.startswith("error: verifying") and "internal error" not in err
+
+    def test_expansion_budget_after_the_chain_check(self, capsys, tmp_path):
+        code, _, err = self.verify(capsys, tmp_path, "x^40+y^40+z^40+w^40", "x,y,z,w",
+                                   [{"chain": [1], "form": "x^2"}, {"chain": [25], "form": "x^2"}])
+        assert code == 3 and err == "error: chain index 25 out of range 1..24\n"
+
+
 class TestCorpus:
     def test_example3_p1_depth1(self, capsys):
         code, out, _ = run(capsys, "corpus", "example3-p1", "--format", "json")
@@ -329,6 +344,13 @@ class TestSubdivision:
             assert len(cell["vertices"]) == 3
             assert cell["squared_diameter"]
 
+    def test_one_variable_depth_refused_before_any_chain(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "subdivision", "--nvars", "1", "--depth", str(10**9))
+        assert time.perf_counter() - start < 0.5
+        assert code == 3 and out == ""
+        assert err == "error: chain of length 1000000000 exceeds the limit of 5000\n"
+
     def test_depth0_is_standard_simplex(self, capsys):
         _, out, _ = run(
             capsys, "subdivision", "--nvars", "3", "--depth", "0", "--format", "json"
@@ -358,6 +380,17 @@ class TestUsage:
             main(["decide", "x", "--vars", "x", "--threads", "2"])
         assert exc.value.code == 3
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [("decide", []),
+                                                ("oracle", ["--grid-denominator", "2"]),
+                                                ("verify-certificate", ["--certificate", "c.json"])])
+    @pytest.mark.parametrize("spec, message", [(",", "at least one variable is required"),
+                                               ("x,x", "duplicate variable names")])
+    def test_bad_variable_list_exit3(self, capsys, command, extra, spec, message):
+        # parse_form refuses the list before the certificate file is opened
+        code, out, err = run(capsys, command, "x", "--vars", spec, *extra)
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_missing_polynomial(self, capsys):
         code, _, err = run(capsys, "decide", "--vars", "x,y")

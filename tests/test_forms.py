@@ -52,6 +52,11 @@ class TestParse:
         assert parse_form("(-1/2*x)^3", XY).terms == {(3, 0): Fraction(-1, 8)}
         assert parse_form("(x*y)^0", XY).terms == {(0, 0): Fraction(1)}
 
+    @pytest.mark.parametrize("text, expansion", [("-x^2*y", "-1*x*x*y"), ("--x*y^2", "x*y*y"),
+                                                 ("+-x*y*x", "-1*x*x*y"), ("-2^2*x^3", "-4*x*x*x")])
+    def test_leading_signs_belong_to_the_first_factor(self, text, expansion):
+        assert parse_form(text, XY) == parse_form(expansion, XY)
+
     def test_non_homogeneous_rejected(self):
         with pytest.raises(FormError, match="homogeneous"):
             parse_form("x + y^2", XY)

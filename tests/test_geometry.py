@@ -130,6 +130,11 @@ class TestLocatePoint:
                     chain = locate_point(p, depth)
                     assert len(chain) == depth
 
+    def test_depth_past_chain_limit_refused_before_any_step(self):
+        with pytest.raises(MatrixError, match="chain of length 1000000000 exceeds the limit of 5000"):
+            locate_point((1,), 10**9)
+        assert locate_point((1,), 5000) == (1,) * 5000
+
     def test_outside_simplex_rejected(self):
         with pytest.raises(GeometryError):
             locate_point((F(1, 2), F(1, 2), F(1, 2)), 1)
