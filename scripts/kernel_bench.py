@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Kernel microbench: forms.substitute_pwn on the n! children at levels 1 and 2.
+"""Kernel microbench: forms.substitute_pwn on the n! children at levels 1
+and 2, and forms.evaluate at points of the simplex.
 
     python3 scripts/kernel_bench.py [--src DIR] [--baseline DIR] [--repeat K]
 
 For the breadth workload's pd-5232 form (4 variables, degree 2) and for
 example3-p6 (3 variables, degree 24), level 1 substitutes the form by all
 n! permutations, and level 2 substitutes each level-1 child by all n!
-permutations.  Each level is timed K times with the garbage collector off,
-each timing a batch that repeats the level's calls for at least 50 ms; the
-best batch over its number of calls is reported in µs per call.  Prints
-one JSON line.  --src names the source tree sds is imported from (default:
+permutations.  The evaluate rows time example3-p5 at 500 seeded random
+points of the simplex (drawn as the oracle's random search draws them),
+example3-p6 at the 325 points of the denominator-24 grid, and
+x^1000+y^1000 at 50 seeded random points.  Each row is timed K times with
+the garbage collector off, each timing a batch that repeats the row's
+calls for at least 50 ms; the best batch over its number of calls is
+reported in µs per call (per point for evaluate).  Prints one JSON line.  --src names the source tree sds is imported from (default:
 this checkout's src).  --baseline names a second source tree, for example
 a clone of the parent commit: both are loaded into this one process and
 their batches alternate, so drift of the machine hits both alike, and each
@@ -26,14 +30,17 @@ import json
 import math
 import pathlib
 import platform
+import random
 import sys
 import time
+from fractions import Fraction
 from itertools import permutations
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # the second form of BREADTH in perfbench/workloads.py
 PD_5232 = "(2*x-5*y)^2+(3*y-2*z)^2+(2*z-3*w)^2+1/30*(x+y+z+w)^2"
 MIN_BATCH_S = 0.05
+EVALUATE_SEED = 14
 
 
 def load(src: str, name: str):
@@ -47,27 +54,48 @@ def load(src: str, name: str):
     return importlib.import_module(f"{name}.forms"), package
 
 
-def levels(forms, package: pathlib.Path) -> dict:
-    """For each input form: (substitute, level-1 forms, level-2 forms, perms)."""
-    p6 = (package / "corpus_data" / "example3-p6.txt").read_text(encoding="utf-8")
-    inputs = {
-        "pd-5232": forms.parse_form(PD_5232, ["x", "y", "z", "w"]),
-        "example3-p6": forms.parse_form(p6, ["x", "y", "z"]),
-    }
+def random_points(rng: random.Random, n: int, count: int) -> list:
+    points = []
+    while len(points) < count:
+        d = rng.randint(1, 10**4)
+        parts = [rng.randint(0, d) for _ in range(n)]
+        if sum(parts):
+            points.append(tuple(Fraction(a, sum(parts)) for a in parts))
+    return points
+
+
+def rows(forms, package: pathlib.Path) -> dict:
+    """Each group's rows, a row being (function, argument tuples, unit of one call)."""
+    def corpus(name):
+        text = (package / "corpus_data" / f"{name}.txt").read_text(encoding="utf-8")
+        return forms.parse_form(text, ["x", "y", "z"])
+
     out = {}
-    for name, f in inputs.items():
+    for name, f in (("pd-5232", forms.parse_form(PD_5232, ["x", "y", "z", "w"])),
+                    ("example3-p6", corpus("example3-p6"))):
         perms = list(permutations(range(1, f.nvars + 1)))
-        out[name] = (forms.substitute_pwn, [f], [forms.substitute_pwn(f, p) for p in perms], perms)
+        level1 = [forms.substitute_pwn(f, p) for p in perms]
+        out[name] = {f"level{k}": (forms.substitute_pwn, [(g, p) for g in level for p in perms], "call")
+                     for k, level in ((1, [f]), (2, level1))}
+    rng = random.Random(EVALUATE_SEED)
+    grid = [(Fraction(a, 24), Fraction(b, 24), Fraction(24 - a - b, 24))
+            for a in range(25) for b in range(25 - a)]
+    points = {
+        "p5_random500": (corpus("example3-p5"), random_points(rng, 3, 500)),
+        "p6_grid24": (corpus("example3-p6"), grid),
+        "x1000_random50": (forms.parse_form("x^1000+y^1000", ["x", "y"]), random_points(rng, 2, 50)),
+    }
+    out["evaluate"] = {row: (forms.evaluate, [(f, p) for p in pts], "point")
+                       for row, (f, pts) in points.items()}
     return out
 
 
-def batch(substitute, forms, perms, loops: int) -> float:
+def batch(fn, calls, loops: int) -> float:
     gc.disable()
     start = time.perf_counter()
     for _ in range(loops):
-        for f in forms:
-            for p in perms:
-                substitute(f, p)
+        for args in calls:
+            fn(*args)
     elapsed = time.perf_counter() - start
     gc.enable()
     return elapsed
@@ -77,30 +105,29 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="source tree to import sds from")
     ap.add_argument("--baseline", default=None, help="a second source tree, timed alternately")
-    ap.add_argument("--repeat", type=int, default=7, help="timed batches per level; the best counts")
+    ap.add_argument("--repeat", type=int, default=7, help="timed batches per row; the best counts")
     args = ap.parse_args()
 
-    trees = {"": levels(*load(args.src, "sds_bench"))}
+    trees = {"": rows(*load(args.src, "sds_bench"))}
     if args.baseline:
-        trees["baseline_"] = levels(*load(args.baseline, "sds_baseline"))
+        trees["baseline_"] = rows(*load(args.baseline, "sds_baseline"))
     result = {"python": platform.python_version(), "machine": platform.machine(), "repeat": args.repeat}
-    for name in trees[""]:
-        result[name] = {}
-        for level in (1, 2):
+    for group, group_rows in trees[""].items():
+        result[group] = {}
+        for row, (_, _, unit) in group_rows.items():
             calls = {}
             for prefix, tree in trees.items():
-                substitute, level1, level2, perms = tree[name]
-                forms = level1 if level == 1 else level2
-                loops = max(1, math.ceil(MIN_BATCH_S / batch(substitute, forms, perms, 1)))
-                calls[prefix] = (substitute, forms, perms, loops)
+                fn, args_list, _ = tree[group][row]
+                loops = max(1, math.ceil(MIN_BATCH_S / batch(fn, args_list, 1)))
+                calls[prefix] = (fn, args_list, loops)
             best = dict.fromkeys(calls, float("inf"))
             for r in range(args.repeat):
                 for prefix in (list(calls) if r % 2 == 0 else list(reversed(calls))):
-                    substitute, forms, perms, loops = calls[prefix]
-                    best[prefix] = min(best[prefix], batch(substitute, forms, perms, loops))
-            for prefix, (_, forms, perms, loops) in calls.items():
-                per_call = best[prefix] / (loops * len(forms) * len(perms))
-                result[name][f"{prefix}level{level}_us_per_call"] = round(per_call * 1e6, 2)
+                    fn, args_list, loops = calls[prefix]
+                    best[prefix] = min(best[prefix], batch(fn, args_list, loops))
+            for prefix, (_, args_list, loops) in calls.items():
+                per_call = best[prefix] / (loops * len(args_list))
+                result[group][f"{prefix}{row}_us_per_{unit}"] = round(per_call * 1e6, 2)
     print(json.dumps(result))
 
 

@@ -9,6 +9,7 @@ exact: floating point never touches a coefficient.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -400,25 +401,35 @@ def parse_form(text: str, vars: Sequence[str]) -> Form:
 # evaluation and substitution
 # ---------------------------------------------------------------------------
 
+def int_value(f: Form, p: Sequence[int]) -> int:
+    """den·f(p) as an exact integer, for a point p of integers.
+
+    Each variable gets a power table x^0..x^d built by repeated
+    multiplication; one pass per variable then multiplies its exponent
+    column (`zip(*f.nums)`) into the numerators, and the products are
+    summed.  `evaluate` and both sampling oracles go through here.
+    """
+    if len(p) != f.nvars:
+        raise FormError(f"point has {len(p)} coordinates, form has {f.nvars}")
+    values = f.nums.values()
+    for x, column in zip(p, zip(*f.nums)):
+        table = [1]
+        for _ in range(f.degree):
+            table.append(table[-1] * x)
+        values = map(operator.mul, values, map(table.__getitem__, column))
+    return sum(values)
+
+
 def evaluate(f: Form, p: Sequence) -> Fraction:
     """Exact value of f at p (any sequence of rationals).
 
     With B the lcm of the coordinate denominators, homogeneity gives
-    f(p) = sum nums[e] * prod (B*p_i)^e_i / (den * B^d), all in integers.
+    f(p) = int_value(f, B·p) / (den · B^d): one integer pass and one Fraction.
     """
-    if len(p) != f.nvars:
-        raise FormError(f"point has {len(p)} coordinates, form has {f.nvars}")
     coords = [Fraction(x) for x in p]
     big_b = math.lcm(*(x.denominator for x in coords))
     ints = [x.numerator * (big_b // x.denominator) for x in coords]
-    # per-variable power tables; exponents repeat heavily across monomials
-    pows = [[x ** k for k in range(f.degree + 1)] for x in ints]
-    total = 0
-    for exp, v in f.nums.items():
-        for tab, e in zip(pows, exp):
-            v *= tab[e]
-        total += v
-    return Fraction(total, f.den * big_b ** f.degree)
+    return Fraction(int_value(f, ints), f.den * big_b ** f.degree)
 
 
 def substitute_linear(f: Form, rows: Sequence[Sequence]) -> Form:

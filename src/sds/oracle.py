@@ -2,8 +2,12 @@
 
 These are evidence generators, independent of the substitution engine: an
 exact minimum over the denominator-N lattice of the simplex, and a seeded
-random search for negative values.  Both stay in rational arithmetic so a
-reported negative value is a proof of one.
+random search for negative values.  Both evaluate in exact integers
+(`forms.int_value` at the scaled lattice point) and report an exact
+rational value, so a reported negative value is a proof of one.  Each
+refuses, before its first point, a request whose points × nvars × degree
+exceeds WORK_BUDGET: the power tables alone take nvars × degree
+multiplications per point.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
-from .forms import Form, Point, evaluate
+from .forms import Form, Point, int_value
 
 DEFAULT_GRID_BUDGET = 2_000_000
 MAX_RANDOM_DENOMINATOR = 10**4
 MAX_RANDOM_TRIALS = 10**6
+WORK_BUDGET = 10**8
 
 
 class OracleError(ValueError):
@@ -51,22 +56,38 @@ def iter_grid(spec: GridSpec) -> Iterator[Point]:
         yield tuple(Fraction(a, spec.denominator) for a in comp)
 
 
+def _check_work(f: Form, points: int) -> None:
+    work = points * f.nvars * f.degree
+    if work > WORK_BUDGET:
+        raise OracleError(
+            f"{points} points x {f.nvars} variables x degree {f.degree} = {work} "
+            f"exceeds the work budget of {WORK_BUDGET}")
+
+
 def grid_min(f: Form, spec: GridSpec) -> Tuple[Fraction, Point]:
-    """Exact minimum of f over the grid, with the lex-least attaining point."""
+    """Exact minimum of f over the grid, with the lex-least attaining point.
+
+    Every grid value is int_value(f, a) / (den · N^d) for the composition a
+    of N, over one positive denominator, so the integers are compared
+    directly; strict `<` keeps the lex-least argmin.  Only the minimum is
+    turned into a Fraction and a point.
+    """
     if spec.denominator < 1 or spec.nvars < 1:
         raise OracleError("grid needs a positive denominator and nvars")
     if spec.nvars != f.nvars:
         raise OracleError("grid dimension does not match the form")
     if spec.size() > DEFAULT_GRID_BUDGET:
         raise OracleError(f"grid size {spec.size()} exceeds budget {DEFAULT_GRID_BUDGET}")
-    best_val: Optional[Fraction] = None
-    best_point: Optional[Point] = None
-    for point in iter_grid(spec):
-        v = evaluate(f, point)
+    _check_work(f, spec.size())
+    best_val: Optional[int] = None
+    best_comp: Optional[Tuple[int, ...]] = None
+    for comp in _compositions(spec.denominator, spec.nvars):
+        v = int_value(f, comp)
         if best_val is None or v < best_val:
-            best_val, best_point = v, point
-    assert best_val is not None and best_point is not None
-    return best_val, best_point
+            best_val, best_comp = v, comp
+    assert best_val is not None and best_comp is not None
+    value = Fraction(best_val, f.den * spec.denominator ** f.degree)
+    return value, tuple(Fraction(a, spec.denominator) for a in best_comp)
 
 
 def random_negative_search(
@@ -76,14 +97,17 @@ def random_negative_search(
 
     Each trial draws, from Python's Mersenne Twister seeded with `seed`, a
     denominator D in [1, 10^4] and n integers in [0, D]; the vector is
-    normalized by its sum (all-zero draws are skipped).  Returns the first
-    (point, value) with value < 0, or None after `trials` trials; more than
-    MAX_RANDOM_TRIALS trials are refused before the first draw.
+    normalized by its sum s (all-zero draws are skipped).  The sign of f
+    there is the sign of int_value(f, draw); only a hit builds its point and
+    its value int_value / (den · s^d).  Returns the first (point, value) with
+    value < 0, or None after `trials` trials; more than MAX_RANDOM_TRIALS
+    trials, or more work than WORK_BUDGET, are refused before the first draw.
     """
     if trials < 1:
         raise OracleError("trials must be >= 1")
     if trials > MAX_RANDOM_TRIALS:
         raise OracleError(f"{trials} trials exceed the budget of {MAX_RANDOM_TRIALS}")
+    _check_work(f, trials)
     rng = random.Random(seed)
     n = f.nvars
     for _ in range(trials):
@@ -92,8 +116,7 @@ def random_negative_search(
         s = sum(parts)
         if s == 0:
             continue
-        point = tuple(Fraction(a, s) for a in parts)
-        v = evaluate(f, point)
+        v = int_value(f, parts)
         if v < 0:
-            return point, v
+            return tuple(Fraction(a, s) for a in parts), Fraction(v, f.den * s ** f.degree)
     return None

@@ -1,19 +1,29 @@
-"""The dense Fraction reference for the P·W_n substitutions.
+"""The dense Fraction reference for the P·W_n substitutions, and the
+term-by-term evaluation the sampling oracles are checked against.
 
 `SubMatrix`, the weight matrix W_n, the permutation matrices, the n!
 matrices P·W_n and the chain products, as plain square matrices of
 Fractions.  The structured maps in `sds.matrices` (`pwn_step`,
 `pwn_preimage`, `chain_vertices`) and the kernel `sds.forms.substitute_pwn`
 are tested against them; nothing in the package uses them.
+
+`evaluate` computes each power x**k on its own and walks the terms one by
+one; `grid_min` and `random_negative_search` build a Fraction point and
+value for every sample through it.  `sds.forms.evaluate`, `int_value` and
+the oracles in `sds.oracle` are tested against them.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
+from sds.forms import Form, FormError, Point
 from sds.matrices import MatrixError, check_chain, pwn_perms
+from sds.oracle import MAX_RANDOM_DENOMINATOR, GridSpec, iter_grid
 
 
 class SubMatrix:
@@ -176,3 +186,52 @@ def compose_chain(chain: Sequence[int], n: int) -> SubMatrix:
 def is_normalized(m: SubMatrix) -> bool:
     """True iff every column sums to exactly 1."""
     return all(sum(m.column(j)) == 1 for j in range(m.n))
+
+
+def evaluate(f: Form, p: Sequence) -> Fraction:
+    """Exact value of f at p (any sequence of rationals).
+
+    With B the lcm of the coordinate denominators, homogeneity gives
+    f(p) = sum nums[e] * prod (B*p_i)^e_i / (den * B^d), all in integers.
+    """
+    if len(p) != f.nvars:
+        raise FormError(f"point has {len(p)} coordinates, form has {f.nvars}")
+    coords = [Fraction(x) for x in p]
+    big_b = math.lcm(*(x.denominator for x in coords))
+    ints = [x.numerator * (big_b // x.denominator) for x in coords]
+    # per-variable power tables; exponents repeat heavily across monomials
+    pows = [[x ** k for k in range(f.degree + 1)] for x in ints]
+    total = 0
+    for exp, v in f.nums.items():
+        for tab, e in zip(pows, exp):
+            v *= tab[e]
+        total += v
+    return Fraction(total, f.den * big_b ** f.degree)
+
+
+def grid_min(f: Form, spec: GridSpec) -> Tuple[Fraction, Point]:
+    """Minimum of f over the grid, first attaining point in lex order."""
+    best_val: Optional[Fraction] = None
+    best_point: Optional[Point] = None
+    for point in iter_grid(spec):
+        v = evaluate(f, point)
+        if best_val is None or v < best_val:
+            best_val, best_point = v, point
+    return best_val, best_point
+
+
+def random_negative_search(f: Form, trials: int, seed: int) -> Optional[Tuple[Point, Fraction]]:
+    """The first negative (point, value) of the seeded draws, as `sds.oracle` draws them."""
+    rng = random.Random(seed)
+    n = f.nvars
+    for _ in range(trials):
+        d = rng.randint(1, MAX_RANDOM_DENOMINATOR)
+        parts = [rng.randint(0, d) for _ in range(n)]
+        s = sum(parts)
+        if s == 0:
+            continue
+        point = tuple(Fraction(a, s) for a in parts)
+        v = evaluate(f, point)
+        if v < 0:
+            return point, v
+    return None

@@ -326,6 +326,15 @@ class TestOracle:
         assert out == ""
         assert err.startswith("error:") and "budget" in err
 
+    @pytest.mark.parametrize("text, budget", [("x^1000-y^1000", "--grid-denominator=1999999"),
+                                              ("x^1000+y^1000", "--random-trials=1000000")])
+    def test_work_budget_exit3_within_a_second(self, capsys, text, budget):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", text, "--vars", "x,y", budget)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "work budget" in err
+
     def test_nonnegative_grid_min_exit2(self, capsys):
         code, out, _ = run(capsys, "oracle", "(x + y)^2", "--vars", "x,y", "--grid-denominator", "4")
         assert code == 2

@@ -13,6 +13,7 @@ from sds.forms import (
     FormError,
     ParseError,
     evaluate,
+    int_value,
     is_nonlacunary_positive,
     is_trivially_negative,
     is_trivially_positive,
@@ -22,6 +23,7 @@ from sds.forms import (
 )
 
 from helpers import forms, monomials, random_chain, random_form, random_point
+import reference
 from reference import SubMatrix, compose_chain, enumerate_pwn, sds_matrix
 
 XY = ["x", "y"]
@@ -336,6 +338,41 @@ class TestIntegerForm:
         f = parse_form("1/2*x^2 + 3/4*y^2", XY)
         with pytest.raises(TypeError):
             f.terms[(2, 0)] = Fraction(1)
+
+
+# zero, negative and large-denominator coordinates
+wide_coordinates = st.one_of(
+    st.just(0),
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**12),
+)
+
+
+class TestIntValue:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_evaluate_equals_reference(self, data):
+        f = data.draw(forms(d=data.draw(st.integers(0, 8))))
+        p = data.draw(st.lists(wide_coordinates, min_size=f.nvars, max_size=f.nvars))
+        assert evaluate(f, p) == reference.evaluate(f, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_int_value_is_den_times_value(self, data):
+        f = data.draw(forms(d=data.draw(st.integers(0, 8))))
+        p = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=f.nvars, max_size=f.nvars))
+        v = int_value(f, p)
+        assert type(v) is int and v == f.den * reference.evaluate(f, p)
+
+    def test_zero_form(self):
+        for n, d in ((1, 0), (3, 8)):
+            f = Form(n, d, {})
+            assert int_value(f, [7] * n) == 0
+            assert evaluate(f, [Fraction(-1, 10**12)] * n) == reference.evaluate(f, [0] * n) == 0
+
+    def test_degree_1000(self):
+        f = parse_form("x^1000 - 3*x^999*y + y^1000", XY)
+        assert evaluate(f, (Fraction(2, 3), Fraction(-5, 7))) == reference.evaluate(f, ("2/3", "-5/7"))
 
 
 class TestSubstitutePwn:

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sds.corpus import EXAMPLE2_TEXT, corpus_form
-from sds.forms import parse_form
+import sds.oracle as oracle_module
+from sds.forms import Form, parse_form
 from sds.oracle import (
     MAX_RANDOM_TRIALS,
+    WORK_BUDGET,
     GridSpec,
     OracleError,
     grid_min,
@@ -14,7 +17,8 @@ from sds.oracle import (
     random_negative_search,
 )
 
-from helpers import random_form
+import reference
+from helpers import forms, random_form
 
 F = Fraction
 XY = ["x", "y"]
@@ -100,3 +104,80 @@ class TestRandomSearch:
         monkeypatch.setattr(random.Random, "randint", lambda *a: pytest.fail("drew"))
         with pytest.raises(OracleError, match="budget"):
             random_negative_search(parse_form("x*y", XY), MAX_RANDOM_TRIALS + 1, 0)
+
+
+class TestEqualsReference:
+    """The integer fast paths give the reference's value and point exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_grid_min(self, data):
+        f = data.draw(forms(n=data.draw(st.integers(1, 3)), d=data.draw(st.integers(0, 6))))
+        spec = GridSpec(data.draw(st.integers(1, 8)), f.nvars)
+        assert grid_min(f, spec) == reference.grid_min(f, spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_search(self, data):
+        f = data.draw(forms(n=data.draw(st.integers(1, 4)), d=data.draw(st.integers(0, 6))))
+        trials = data.draw(st.integers(1, 40))
+        seed = data.draw(st.integers(0, 10**6))
+        assert random_negative_search(f, trials, seed) == reference.random_negative_search(f, trials, seed)
+
+    def test_grid_tie_keeps_lex_least_argmin(self):
+        # x*y*(x-y)^2 is 0 at (0,1), (1/2,1/2) and (1,0); the first in lex order is reported
+        f = parse_form("x*y*(x - y)^2", XY)
+        value, argmin = grid_min(f, GridSpec(6, 2))
+        assert (value, argmin) == reference.grid_min(f, GridSpec(6, 2)) == (0, (F(0), F(1)))
+        # every point of a constant-on-simplex form ties
+        f = parse_form("(x + y + z)^3", XYZ)
+        assert grid_min(f, GridSpec(5, 3)) == reference.grid_min(f, GridSpec(5, 3)) == (1, (0, 0, 1))
+
+    def test_grid_negative_minimum(self):
+        f = corpus_form("example3-p6")
+        assert grid_min(f, GridSpec(12, 3)) == reference.grid_min(f, GridSpec(12, 3))
+
+    def test_random_hit_is_the_same_point_and_value(self):
+        f = parse_form(EXAMPLE2_TEXT, XYZ)
+        for seed in range(5):
+            hit = random_negative_search(f, 1000, seed)
+            assert hit is not None and hit == reference.random_negative_search(f, 1000, seed)
+
+
+class FirstDraw(Exception):
+    pass
+
+
+def _first_draw(*args):
+    raise FirstDraw
+
+
+class TestWorkBudget:
+    """points x nvars x degree above WORK_BUDGET is refused before the first point."""
+
+    def test_grid_refused_before_first_point(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "int_value", lambda *a: pytest.fail("evaluated"))
+        f = parse_form("x^1000 - y^1000", XY)
+        with pytest.raises(OracleError, match="work budget"):
+            grid_min(f, GridSpec(1999999, 2))
+
+    def test_random_refused_before_first_draw(self, monkeypatch):
+        monkeypatch.setattr(random.Random, "randint", lambda *a: pytest.fail("drew"))
+        f = parse_form("x^1000 + y^1000", XY)
+        with pytest.raises(OracleError, match="work budget"):
+            random_negative_search(f, MAX_RANDOM_TRIALS, 0)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # WORK_BUDGET itself passes and reaches the first draw; one degree more does not
+        monkeypatch.setattr(random.Random, "randint", _first_draw)
+        trials = WORK_BUDGET // (2 * 50)
+        with pytest.raises(FirstDraw):
+            random_negative_search(Form(2, 50, {}), trials, 0)
+        with pytest.raises(OracleError, match="work budget"):
+            random_negative_search(Form(2, 51, {}), trials, 0)
+
+    def test_million_trials_on_p6_allowed(self, monkeypatch):
+        # 10^6 trials x 3 variables x degree 24 = 7.2e7
+        monkeypatch.setattr(random.Random, "randint", _first_draw)
+        with pytest.raises(FirstDraw):
+            random_negative_search(corpus_form("example3-p6"), MAX_RANDOM_TRIALS, 0)
