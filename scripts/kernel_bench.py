@@ -4,13 +4,15 @@ and 2, and forms.evaluate at points of the simplex.
 
     python3 scripts/kernel_bench.py [--src DIR] [--baseline DIR] [--repeat K]
 
-For the breadth workload's pd-5232 form (4 variables, degree 2) and for
-example3-p6 (3 variables, degree 24), level 1 substitutes the form by all
-n! permutations, and level 2 substitutes each level-1 child by all n!
-permutations.  The evaluate rows time example3-p5 at 500 seeded random
-points of the simplex (drawn as the oracle's random search draws them),
-example3-p6 at the 325 points of the denominator-24 grid, and
-x^1000+y^1000 at 50 seeded random points.  Each row is timed K times with
+For the breadth workload's pd-5232 form (4 variables, degree 2), its
+square (degree 4) and example3-p6 (3 variables, degree 24), level 1
+substitutes the form by all n! permutations, and level 2 substitutes each
+level-1 child by all n! permutations.  Degree 2 takes the kernel's
+quadratic route, so the pd-5232 rows time that route and the squared rows
+the Taylor shifts at n = 4.  The evaluate rows time example3-p5 at 500
+seeded random points of the simplex (drawn as the oracle's random search
+draws them), example3-p6 at the 325 points of the denominator-24 grid,
+and x^1000+y^1000 at 50 seeded random points.  Each row is timed K times with
 the garbage collector off, each timing a batch that repeats the row's
 calls for at least 50 ms; the best batch over its number of calls is
 reported in µs per call (per point for evaluate).  Prints one JSON line.  --src names the source tree sds is imported from (default:
@@ -71,7 +73,9 @@ def rows(forms, package: pathlib.Path) -> dict:
         return forms.parse_form(text, ["x", "y", "z"])
 
     out = {}
-    for name, f in (("pd-5232", forms.parse_form(PD_5232, ["x", "y", "z", "w"])),
+    xyzw = ["x", "y", "z", "w"]
+    for name, f in (("pd-5232", forms.parse_form(PD_5232, xyzw)),
+                    ("pd-5232-squared", forms.parse_form(f"({PD_5232})^2", xyzw)),
                     ("example3-p6", corpus("example3-p6"))):
         perms = list(permutations(range(1, f.nvars + 1)))
         level1 = [forms.substitute_pwn(f, p) for p in perms]

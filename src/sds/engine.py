@@ -35,6 +35,9 @@ from .matrices import Chain, barycenter_image, chain_vertices, check_chain, pwn_
 
 Certificate = Tuple[Tuple[Chain, Form], ...]
 
+# terms one certificate entry's expansion may write, summed over f's terms
+MAX_VERIFY_WRITES = 4 * 10**6
+
 
 class EngineError(ValueError):
     """Invalid engine configuration or input."""
@@ -180,6 +183,22 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
     return Inconclusive(depth_reached=cfg.max_depth, live_forms=nodes)
 
 
+def _expansion_writes(f: Form) -> int:
+    """Terms `substitute_linear` writes for f(M·T), bounded for dense rows of M:
+    each variable's power table, then per term of f the products of its
+    powers, smallest first (a dense row's k-th power has C(k+n-1, n-1) terms)."""
+    size = [math.comb(k + f.nvars - 1, k) for k in range(f.degree + 1)]
+    writes = sum(f.nvars * size[k] for top in map(max, zip(*f.nums)) for k in range(top))
+    for exp in f.nums:
+        deg, terms = 0, 1
+        for e in sorted(exp):
+            deg += e
+            writes += terms * size[e]
+            terms = min(terms * size[e], size[deg])
+        writes += terms
+    return writes
+
+
 def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
     """Recompute and check a positive-termination certificate from scratch.
 
@@ -194,7 +213,8 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
     MAX_CHAIN_LENGTH raises MatrixError.  Then EngineError refuses, before
     any expansion, work past the parser's budgets: over MAX_TERMS terms
     written, n·C(d+n-1, n) for one power of a row of M, or over
-    MAX_COEFF_BITS denominator bits, len(chain)·d·⌈log2 lcm(1..n)⌉.
+    MAX_COEFF_BITS denominator bits, len(chain)·d·⌈log2 lcm(1..n)⌉, or
+    over MAX_VERIFY_WRITES terms written for one entry (`_expansion_writes`).
     """
     if not cert:
         return False
@@ -206,6 +226,8 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
         raise EngineError(f"verifying a degree-{d} form in {n} variables could write over {MAX_TERMS} terms")
     if max_len * d * (math.lcm(*range(1, n + 1)) - 1).bit_length() > MAX_COEFF_BITS:
         raise EngineError(f"verifying a length-{max_len} chain at degree {d} could need over {MAX_COEFF_BITS} bits")
+    if max_len and _expansion_writes(f) > MAX_VERIFY_WRITES:
+        raise EngineError(f"verifying a {len(f.nums)}-term form could write over {MAX_VERIFY_WRITES} terms per entry")
     if len(cert_map) != len(cert):  # a duplicate chain
         return False
     for chain, form in cert_map.items():

@@ -12,7 +12,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -521,6 +521,8 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
     perm alone come from bounded caches; perm entries must be ints.  Outputs
     share one key tuple per monomial for each (n, d), from a map beside the
     (n, d) tables that holds at most the C(d+n-1, n-1) monomials of degree d.
+    Degree 2 takes `_substitute_quadratic`: the same map as a congruence of
+    the form's matrix, by prefix sums in O(n^2) integer additions.
     """
     n, d = f.nvars, f.degree
     perm = tuple(perm)
@@ -529,6 +531,8 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
     src = _pwn_source(perm)  # position j of the relabelled exponent comes from src[j]
     if f.is_zero():
         return f
+    if d == 2:
+        return _substitute_quadratic(f, perm)
 
     poly: Dict[Exponent, int] = {
         tuple([exp[i] for i in src]): v for exp, v in f.nums.items()
@@ -557,6 +561,31 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
                 v *= tab[e]
             terms[shared.setdefault(exp, exp)] = Fraction(v, denom)
     return Form(n, d, terms)
+
+
+@lru_cache(maxsize=8)
+def _quadratic_pairs(n: int) -> Dict[Exponent, Tuple[int, int]]:
+    """Each degree-2 exponent of n variables mapped to its (i, j), i <= j."""
+    return {tuple((k == i) + (k == j) for k in range(n)): (i, j) for i in range(n) for j in range(i, n)}
+
+
+def _substitute_quadratic(f: Form, perm: Tuple[int, ...]) -> Form:
+    """substitute_pwn at degree 2.  S, the symmetric matrix of 2·f.nums
+    relabelled by perm, goes to U^T·S·U (U upper triangular of ones, the
+    Taylor shifts): its 2-D prefix sums P.  The scale gives the numerators
+    P_aa·w_a^2/2 (P_aa is even) and P_ab·w_a·w_b, a < b, over f.den·L^2."""
+    n, pairs = f.nvars, _quadratic_pairs(f.nvars)
+    _, weights, big_l_2, _ = _pwn_tables(n, 2)  # weights[a][1] = w_a = L/(a+1)
+    s = [[0] * n for _ in range(n)]
+    for exp, v in f.nums.items():
+        i, j = pairs[exp]
+        a, b = perm[i] - 1, perm[j] - 1
+        s[a][b] += v
+        s[b][a] += v
+    prefix = list(accumulate((list(accumulate(row)) for row in s),
+                             lambda above, row: list(map(operator.add, above, row))))
+    return Form._from_ints(n, 2, f.den * big_l_2, {
+        exp: prefix[a][b] * weights[a][1] * weights[b][1] // (1 + (a == b)) for exp, (a, b) in pairs.items()})
 
 
 # ---------------------------------------------------------------------------

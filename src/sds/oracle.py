@@ -6,8 +6,9 @@ random search for negative values.  Both evaluate in exact integers
 (`forms.int_value` at the scaled lattice point) and report an exact
 rational value, so a reported negative value is a proof of one.  Each
 refuses, before its first point, a request whose points × nvars × degree
-exceeds WORK_BUDGET: the power tables alone take nvars × degree
-multiplications per point.
+exceeds WORK_BUDGET, as the power tables alone take nvars × degree
+multiplications per point, or whose points × terms exceeds
+TERM_WORK_BUDGET, as each point multiplies every term once per variable.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ DEFAULT_GRID_BUDGET = 2_000_000
 MAX_RANDOM_DENOMINATOR = 10**4
 MAX_RANDOM_TRIALS = 10**6
 WORK_BUDGET = 10**8
+TERM_WORK_BUDGET = 4 * 10**8  # about 7 minutes at the 1 µs per point-term of (x+y+z+w)^20
 
 
 class OracleError(ValueError):
@@ -62,6 +64,10 @@ def _check_work(f: Form, points: int) -> None:
         raise OracleError(
             f"{points} points x {f.nvars} variables x degree {f.degree} = {work} "
             f"exceeds the work budget of {WORK_BUDGET}")
+    work = points * len(f.nums)
+    if work > TERM_WORK_BUDGET:
+        raise OracleError(f"{points} points x {len(f.nums)} terms = {work} "
+                          f"exceeds the term work budget of {TERM_WORK_BUDGET}")
 
 
 def grid_min(f: Form, spec: GridSpec) -> Tuple[Fraction, Point]:
@@ -101,7 +107,7 @@ def random_negative_search(
     there is the sign of int_value(f, draw); only a hit builds its point and
     its value int_value / (den · s^d).  Returns the first (point, value) with
     value < 0, or None after `trials` trials; more than MAX_RANDOM_TRIALS
-    trials, or more work than WORK_BUDGET, are refused before the first draw.
+    trials, or more work than either budget, are refused before the first draw.
     """
     if trials < 1:
         raise OracleError("trials must be >= 1")

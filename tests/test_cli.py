@@ -249,9 +249,13 @@ class TestVerifyCertificate:
         assert err == "error: chain index 7 out of range 1..2\n"
 
 
-    @pytest.mark.parametrize("d, chain, vars", [(40, [1], "x,y,z,w"), (200, [1] * 400, "x,y")])
+    @pytest.mark.parametrize("d, chain, vars", [(40, [1], "x,y,z,w"), (200, [1] * 400, "x,y"),
+                                                ("(x+y+z+w)^20", [1], "x,y,z,w")])
     def test_expansion_budget_exit3_within_a_second(self, capsys, tmp_path, d, chain, vars):
-        text = "+".join(f"{v}^{d}" for v in vars.split(","))
+        # an int d stands for the sum of the d-th powers of the variables; the
+        # dense text is inside the one-power budget, and its 1,771 terms' products
+        # took 10 s to expand before the per-entry write budget
+        text = d if isinstance(d, str) else "+".join(f"{v}^{d}" for v in vars.split(","))
         start = time.perf_counter()
         code, out, err = self.verify(capsys, tmp_path, text, vars, [{"chain": chain, "form": "x^2"}])
         assert time.perf_counter() - start < 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sds.forms as forms_module
 from sds.corpus import CORPUS_VARS, EXAMPLE1_TEXT, EXAMPLE2_TEXT, corpus_text
@@ -382,6 +382,17 @@ class TestSubstitutePwn:
         for perm in permutations(range(1, f.nvars + 1)):
             assert substitute_pwn(f, perm) == substitute_linear(f, sds_matrix(perm))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: forms(n, 2)), st.booleans())
+    @example(parse_form("1/3*x*y - 2/5*y*z + 1/7*z*w - w*v + 3/4*x*v", list("xyzwv")), False)
+    @example(parse_form("-1/6*x^2 + 2/5*y^2 - 1/10*x*y", XY), False)
+    def test_quadratic_equals_generic(self, f, cross_only):
+        # the degree-2 route, up to n = 5, which forms() alone never draws
+        if cross_only:  # a zero diagonal: pure cross terms
+            f = Form(f.nvars, 2, {e: c for e, c in f.terms.items() if 2 not in e})
+        for perm in permutations(range(1, f.nvars + 1)):
+            assert substitute_pwn(f, perm) == substitute_linear(f, sds_matrix(perm))
+
     def test_example3_p6_level1(self):
         f = parse_form(corpus_text("example3-p6"), CORPUS_VARS)
         for perm, b in zip(permutations(range(1, 4)), enumerate_pwn(3)):
@@ -394,9 +405,11 @@ class TestSubstitutePwn:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_mixed_shapes_in_one_run(self, data):
-        # the kernel's tables are cached per (n, d): forms of two n and two d
-        # in one example, from cold caches, catch a table keyed on n or d alone
+        # the kernel's tables are cached per (n, d), and per n at degree 2: forms
+        # of two n and two d in one example, from cold caches, catch a table
+        # keyed on n or d alone
         forms_module._pwn_tables.cache_clear()
+        forms_module._quadratic_pairs.cache_clear()
         ns = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
         ds = data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
         for n in ns:

@@ -176,6 +176,14 @@ class TestWorkBudget:
         with pytest.raises(OracleError, match="work budget"):
             random_negative_search(Form(2, 51, {}), trials, 0)
 
+    def test_dense_form_refused_before_first_draw(self, monkeypatch):
+        # 10^6 trials x 4 variables x degree 20 passes WORK_BUDGET, but the
+        # 1,771 terms take about 1.3 ms a trial: some 21 minutes in all
+        monkeypatch.setattr(random.Random, "randint", lambda *a: pytest.fail("drew"))
+        f = parse_form("(x+y+z+w)^20", ["x", "y", "z", "w"])
+        with pytest.raises(OracleError, match="term work budget"):
+            random_negative_search(f, MAX_RANDOM_TRIALS, 0)
+
     def test_million_trials_on_p6_allowed(self, monkeypatch):
         # 10^6 trials x 3 variables x degree 24 = 7.2e7
         monkeypatch.setattr(random.Random, "randint", _first_draw)
