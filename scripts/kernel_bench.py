@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Kernel microbench: forms.substitute_pwn on the n! children at levels 1
-and 2, and forms.evaluate at points of the simplex.
+and 2, forms.substitute_linear on certificate entries, and forms.evaluate
+at points of the simplex.
 
     python3 scripts/kernel_bench.py [--src DIR] [--baseline DIR] [--repeat K]
 
@@ -9,17 +10,22 @@ square (degree 4) and example3-p6 (3 variables, degree 24), level 1
 substitutes the form by all n! permutations, and level 2 substitutes each
 level-1 child by all n! permutations.  Degree 2 takes the kernel's
 quadratic route, so the pd-5232 rows time that route and the squared rows
-the Taylor shifts at n = 4.  The evaluate rows time example3-p5 at 500
-seeded random points of the simplex (drawn as the oracle's random search
-draws them), example3-p6 at the 325 points of the denominator-24 grid,
-and x^1000+y^1000 at 50 seeded random points.  Each row is timed K times with
-the garbage collector off, each timing a batch that repeats the row's
-calls for at least 50 ms; the best batch over its number of calls is
-reported in µs per call (per point for evaluate).  Prints one JSON line.  --src names the source tree sds is imported from (default:
-this checkout's src).  --baseline names a second source tree, for example
-a clone of the parent commit: both are loaded into this one process and
-their batches alternate, so drift of the machine hits both alike, and each
-figure gets a `baseline_` twin.
+the Taylor shifts at n = 4.  The substitute_linear rows time the
+verifier's expansion of f(M·T), M an entry's chain matrix from
+`matrices.chain_vertices`: the six depth-1 entries of example3-p5's
+certificate, the 16 entries (depths 1 to 3) of example1's, and
+(x+y+z+w)^12 on the chain (7, 13, 2).  The evaluate rows time
+example3-p5 at 500 seeded random points of the simplex (drawn as the
+oracle's random search draws them), example3-p6 at the 325 points of
+the denominator-24 grid, and x^1000+y^1000 at 50 seeded random points.
+Each row is timed K times with the garbage collector off, each timing a
+batch that repeats the row's calls for at least 50 ms; the best batch
+over its number of calls is reported in µs per call (per point for
+evaluate).  Prints one JSON line.  --src names the source tree sds is
+imported from (default: this checkout's src).  --baseline names a second
+source tree, for example a clone of the parent commit: both are loaded
+into this one process and their batches alternate, so drift of the
+machine hits both alike, and each figure gets a `baseline_` twin.
 """
 
 from __future__ import annotations
@@ -68,9 +74,23 @@ def random_points(rng: random.Random, n: int, count: int) -> list:
 
 def rows(forms, package: pathlib.Path) -> dict:
     """Each group's rows, a row being (function, argument tuples, unit of one call)."""
+    engine, matrices, corpus_module = (importlib.import_module(forms.__name__.replace(".forms", f".{m}"))
+                                       for m in ("engine", "matrices", "corpus"))
+
     def corpus(name):
         text = (package / "corpus_data" / f"{name}.txt").read_text(encoding="utf-8")
         return forms.parse_form(text, ["x", "y", "z"])
+
+    def linear(f, chains):
+        """(f, rows of the chain's matrix) for each chain."""
+        out = []
+        for chain in chains:
+            verts, den = matrices.chain_vertices(chain, f.nvars)
+            out.append((f, [[Fraction(x, den) for x in row] for row in zip(*verts)]))
+        return out
+
+    def certificate_chains(f):
+        return [chain for chain, _ in engine.yys_decide(f, engine.EngineConfig(emit_certificate=True)).certificate]
 
     out = {}
     xyzw = ["x", "y", "z", "w"]
@@ -81,6 +101,13 @@ def rows(forms, package: pathlib.Path) -> dict:
         level1 = [forms.substitute_pwn(f, p) for p in perms]
         out[name] = {f"level{k}": (forms.substitute_pwn, [(g, p) for g in level for p in perms], "call")
                      for k, level in ((1, [f]), (2, level1))}
+    example1 = forms.parse_form(corpus_module.EXAMPLE1_TEXT, ["x", "y", "z"])
+    entries = {
+        "p5_cert6": linear(corpus("example3-p5"), certificate_chains(corpus("example3-p5"))),
+        "example1_cert16": linear(example1, certificate_chains(example1)),
+        "xyzw12_chain7_13_2": linear(forms.parse_form("(x+y+z+w)^12", xyzw), [(7, 13, 2)]),
+    }
+    out["substitute_linear"] = {row: (forms.substitute_linear, calls, "call") for row, calls in entries.items()}
     rng = random.Random(EVALUATE_SEED)
     grid = [(Fraction(a, 24), Fraction(b, 24), Fraction(24 - a - b, 24))
             for a in range(25) for b in range(25 - a)]

@@ -21,7 +21,6 @@ from .forms import (
     ParseError,
     evaluate,
     in_simplex,
-    is_nonlacunary_positive,
     is_trivially_negative,
     is_trivially_positive,
     parse_form,
@@ -51,7 +50,6 @@ __all__ = [
     "evaluate",
     "grid_min",
     "in_simplex",
-    "is_nonlacunary_positive",
     "is_trivially_negative",
     "is_trivially_positive",
     "locate_point",

@@ -35,8 +35,9 @@ from .matrices import Chain, barycenter_image, chain_vertices, check_chain, pwn_
 
 Certificate = Tuple[Tuple[Chain, Form], ...]
 
-# terms one certificate entry's expansion may write, summed over f's terms
+# `_expansion_writes` allowed for one certificate entry, and summed over the entries
 MAX_VERIFY_WRITES = 4 * 10**6
+MAX_VERIFY_TOTAL_WRITES = 2 * 10**7
 
 
 class EngineError(ValueError):
@@ -184,9 +185,12 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
 
 
 def _expansion_writes(f: Form) -> int:
-    """Terms `substitute_linear` writes for f(M·T), bounded for dense rows of M:
-    each variable's power table, then per term of f the products of its
-    powers, smallest first (a dense row's k-th power has C(k+n-1, n-1) terms)."""
+    """A size bound for expanding f(M·T) with dense rows of M, in terms written:
+    per variable, the powers of its row up to its largest exponent, then per
+    term of f the products of its powers, smallest first (a dense row's k-th
+    power has C(k+n-1, n-1) terms).  `substitute_linear`'s Horner scheme
+    builds none of these products; the bound stays the measure the budgets
+    refuse by, so the inputs refused are those of the power-table expansion."""
     size = [math.comb(k + f.nvars - 1, k) for k in range(f.degree + 1)]
     writes = sum(f.nvars * size[k] for top in map(max, zip(*f.nums)) for k in range(top))
     for exp in f.nums:
@@ -208,13 +212,15 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
     the root and descending into every non-certificate chain, each branch
     must end on exactly one certificate chain, and no entry may be left
     unused.  M is built from `chain_vertices` and f(M·T) is expanded by the
-    generic `substitute_linear`, so no code is shared with `yys_decide`'s
-    kernel.  A chain index outside 1..n! or a chain longer than
-    MAX_CHAIN_LENGTH raises MatrixError.  Then EngineError refuses, before
-    any expansion, work past the parser's budgets: over MAX_TERMS terms
-    written, n·C(d+n-1, n) for one power of a row of M, or over
-    MAX_COEFF_BITS denominator bits, len(chain)·d·⌈log2 lcm(1..n)⌉, or
-    over MAX_VERIFY_WRITES terms written for one entry (`_expansion_writes`).
+    generic `substitute_linear`, a Horner scheme in products by one row of
+    M at a time, so no code is shared with `yys_decide`'s kernel.  A chain
+    index outside 1..n! or a chain longer than MAX_CHAIN_LENGTH raises
+    MatrixError.  Then EngineError refuses, before any expansion, work past
+    the parser's budgets: over MAX_TERMS terms written, n·C(d+n-1, n) for
+    one power of a row of M, or over MAX_COEFF_BITS denominator bits,
+    len(chain)·d·⌈log2 lcm(1..n)⌉; and past the verify budgets on the
+    size bound `_expansion_writes(f)`: over MAX_VERIFY_WRITES for one
+    entry, or over MAX_VERIFY_TOTAL_WRITES times the number of entries.
     """
     if not cert:
         return False
@@ -226,8 +232,12 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
         raise EngineError(f"verifying a degree-{d} form in {n} variables could write over {MAX_TERMS} terms")
     if max_len * d * (math.lcm(*range(1, n + 1)) - 1).bit_length() > MAX_COEFF_BITS:
         raise EngineError(f"verifying a length-{max_len} chain at degree {d} could need over {MAX_COEFF_BITS} bits")
-    if max_len and _expansion_writes(f) > MAX_VERIFY_WRITES:
+    writes = _expansion_writes(f) if max_len else 0
+    if writes > MAX_VERIFY_WRITES:
         raise EngineError(f"verifying a {len(f.nums)}-term form could write over {MAX_VERIFY_WRITES} terms per entry")
+    if len(cert_map) * writes > MAX_VERIFY_TOTAL_WRITES:
+        raise EngineError(f"verifying {len(cert_map)} entries of a {len(f.nums)}-term form could write "
+                          f"over {MAX_VERIFY_TOTAL_WRITES} terms")
     if len(cert_map) != len(cert):  # a duplicate chain
         return False
     for chain, form in cert_map.items():

@@ -12,7 +12,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -99,10 +99,6 @@ class Form:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
-        """Terms in graded-lex order (descending lex; all degrees equal)."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
-
     def to_text(self, vars: Sequence[str]) -> str:
         """Serialize as `coef*x^e*...` terms in graded-lex order."""
         if len(vars) != self.nvars:
@@ -110,7 +106,8 @@ class Form:
         if not self.nums:
             return "0"
         parts = []
-        for exp, coef in self.sorted_terms():
+        # graded-lex order: descending lex, as all degrees are equal
+        for exp, coef in sorted(self.terms.items(), reverse=True):
             factors = [str(coef)]
             for name, e in zip(vars, exp):
                 if e:
@@ -437,10 +434,13 @@ def substitute_linear(f: Form, rows: Sequence[Sequence]) -> Form:
 
     `rows` are M's rows of rationals.  The generic expansion, sharing no
     code with `substitute_pwn`, is what `verify_certificate` checks the
-    certificate's forms with.  The kernel clears denominators and runs in
-    integer arithmetic with the parser's `_mul`: with S the lcm of the
-    matrix denominators and C = f.den, f(M·T) = (1/(C·S^d)) · f_C(S·M·T)
-    where f_C = f.nums has integer coefficients.
+    certificate's forms with.  With S the lcm of the matrix denominators and
+    C = f.den, f(M·T) = (1/(C·S^d)) · f_C(L_1, ..., L_n), where f_C = f.nums
+    has integer coefficients and L_i, row i of S·M, is an integer linear
+    form.  f_C(L) is expanded by a multivariate Horner scheme: with the
+    terms grouped by their first exponent a, f_C(L) = F_0 + L_1·(F_1 +
+    L_1·(F_2 + ...)), each F_a its group's terms over L_2, ..., L_n expanded
+    the same way, so the only operations are a product by one L_i and a sum.
     """
     n = f.nvars
     if len(rows) != n or any(len(r) != n for r in rows):
@@ -450,43 +450,36 @@ def substitute_linear(f: Form, rows: Sequence[Sequence]) -> Form:
 
     entries = [[Fraction(x) for x in r] for r in rows]
     s = math.lcm(*(x.denominator for r in entries for x in r))
+    # L_i as (j, coefficient of t_j) pairs, zero coefficients left out
+    images = [[(j, int(x * s)) for j, x in enumerate(r) if x] for r in entries]
 
-    # integer linear images: variable i maps to row i of S·M
-    zero = (0,) * n
-    images: List[Dict[Exponent, int]] = []
-    for i in range(n):
-        img: Dict[Exponent, int] = {}
-        for j in range(n):
-            v = entries[i][j] * s
-            if v:
-                e = list(zero)
-                e[j] = 1
-                img[tuple(e)] = int(v)
-        images.append(img)
+    def times(p: Dict[Exponent, int], image: List[Tuple[int, int]]) -> Dict[Exponent, int]:
+        out: Dict[Exponent, int] = {}
+        get = out.get
+        for j, v in image:
+            for e, c in p.items():
+                e = e[:j] + (e[j] + 1,) + e[j + 1:]
+                out[e] = get(e, 0) + c * v
+        return out
 
-    # lazily extended power tables per variable
-    pow_tabs: List[List[Dict[Exponent, int]]] = [[{zero: 1}] for _ in range(n)]
+    def expand(terms: List[Tuple[Exponent, int]], k: int) -> Dict[Exponent, int]:
+        """sum c·prod_{i >= k} L_i^e_i over terms, which share e_0..e_k-1."""
+        if k == n:
+            return {(0,) * n: terms[0][1]}
+        groups: Dict[int, List[Tuple[Exponent, int]]] = {}
+        for term in terms:
+            groups.setdefault(term[0][k], []).append(term)
+        top = max(groups)
+        g = expand(groups[top], k + 1)
+        for a in range(top - 1, -1, -1):
+            g = times(g, images[k])
+            if a in groups:
+                get = g.get
+                for e, c in expand(groups[a], k + 1).items():
+                    g[e] = get(e, 0) + c
+        return g
 
-    def power(i: int, k: int) -> Dict[Exponent, int]:
-        tab = pow_tabs[i]
-        while len(tab) <= k:
-            tab.append(_mul(tab[-1], images[i], n))
-        return tab[k]
-
-    acc: Dict[Exponent, int] = {}
-    for exp, ic in f.nums.items():
-        factors = [power(i, e) for i, e in enumerate(exp) if e]
-        factors.sort(key=len)
-        if not factors:
-            acc[zero] = acc.get(zero, 0) + ic
-            continue
-        prod = factors[0]
-        for fac in factors[1:]:
-            prod = _mul(prod, fac, n)
-        for e, v in prod.items():
-            acc[e] = acc.get(e, 0) + ic * v
-
-    return Form._from_ints(n, f.degree, f.den * s ** f.degree, acc)
+    return Form._from_ints(n, f.degree, f.den * s ** f.degree, expand(list(f.nums.items()), 0))
 
 
 @lru_cache(maxsize=8)  # one (n, d) per decide; a degree-1000 table holds tens of MB
@@ -615,18 +608,6 @@ def is_trivially_negative(f: Form, mode: str = VALUE_MODE) -> bool:
     if mode == COEFFS_MODE:
         return bool(f.nums) and all(v < 0 for v in f.nums.values())
     raise ValueError(f"unknown negativity mode {mode!r}")
-
-
-def is_nonlacunary_positive(f: Form) -> bool:
-    """True iff all C(d+n-1, n-1) degree-d monomials have positive coefficients."""
-    n, d = f.nvars, f.degree
-    for combo in combinations_with_replacement(range(n), d):
-        exp = [0] * n
-        for i in combo:
-            exp[i] += 1
-        if f.nums.get(tuple(exp), 0) <= 0:
-            return False
-    return True
 
 
 def in_simplex(p: Sequence) -> bool:

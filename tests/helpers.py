@@ -78,13 +78,13 @@ def monomials(n, d):
 
 
 @st.composite
-def forms(draw, n=None, d=None, min_terms=0):
+def forms(draw, n=None, d=None, min_terms=0, max_terms=None):
     """Forms in 1..4 variables of degree 0..6 (or the given n and d) with
-    signed rational coefficients, at least min_terms of them non-zero."""
+    signed rational coefficients, min_terms to max_terms of them non-zero."""
     n = draw(st.integers(1, 4)) if n is None else n
     d = draw(st.integers(0, 6)) if d is None else d
     coefs = st.fractions(min_value=-100, max_value=100, max_denominator=60)
     if min_terms:
         coefs = coefs.filter(bool)
-    terms = draw(st.dictionaries(st.sampled_from(monomials(n, d)), coefs, min_size=min_terms))
+    terms = draw(st.dictionaries(st.sampled_from(monomials(n, d)), coefs, min_size=min_terms, max_size=max_terms))
     return Form(n, d, terms)  # zero coefficients dropped; {} is the zero form

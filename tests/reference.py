@@ -7,10 +7,18 @@ Fractions.  The structured maps in `sds.matrices` (`pwn_step`,
 `pwn_preimage`, `chain_vertices`) and the kernel `sds.forms.substitute_pwn`
 are tested against them; nothing in the package uses them.
 
+`substitute_linear_powers` expands f(M·T) for a square matrix M from
+power tables of the rows and products of powers per term, the way
+`sds.forms.substitute_linear` did before its Horner scheme, which is
+tested against it.
+
 `evaluate` computes each power x**k on its own and walks the terms one by
 one; `grid_min` and `random_negative_search` build a Fraction point and
 value for every sample through it.  `sds.forms.evaluate`, `int_value` and
 the oracles in `sds.oracle` are tested against them.
+
+`is_nonlacunary_positive`, a sign test that nothing in the package needs,
+is kept here with its test.
 """
 
 from __future__ import annotations
@@ -19,9 +27,10 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from itertools import combinations_with_replacement
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from sds.forms import Form, FormError, Point
+from sds.forms import Exponent, Form, FormError, Point, _mul
 from sds.matrices import MatrixError, check_chain, pwn_perms
 from sds.oracle import MAX_RANDOM_DENOMINATOR, GridSpec, iter_grid
 
@@ -188,6 +197,63 @@ def is_normalized(m: SubMatrix) -> bool:
     return all(sum(m.column(j)) == 1 for j in range(m.n))
 
 
+def substitute_linear_powers(f: Form, rows: Sequence[Sequence]) -> Form:
+    """Expanded form g with g(T) = f(M·T) for an exact square matrix M.
+
+    `rows` are M's rows of rationals.  The power-table expansion that
+    `sds.forms.substitute_linear` computed before its Horner scheme, kept
+    unchanged as that function's reference.  It clears denominators and runs in
+    integer arithmetic with the parser's `_mul`: with S the lcm of the
+    matrix denominators and C = f.den, f(M·T) = (1/(C·S^d)) · f_C(S·M·T)
+    where f_C = f.nums has integer coefficients.
+    """
+    n = f.nvars
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise FormError(f"matrix is not {n}x{n}")
+    if f.is_zero():
+        return f
+
+    entries = [[Fraction(x) for x in r] for r in rows]
+    s = math.lcm(*(x.denominator for r in entries for x in r))
+
+    # integer linear images: variable i maps to row i of S·M
+    zero = (0,) * n
+    images: List[Dict[Exponent, int]] = []
+    for i in range(n):
+        img: Dict[Exponent, int] = {}
+        for j in range(n):
+            v = entries[i][j] * s
+            if v:
+                e = list(zero)
+                e[j] = 1
+                img[tuple(e)] = int(v)
+        images.append(img)
+
+    # lazily extended power tables per variable
+    pow_tabs: List[List[Dict[Exponent, int]]] = [[{zero: 1}] for _ in range(n)]
+
+    def power(i: int, k: int) -> Dict[Exponent, int]:
+        tab = pow_tabs[i]
+        while len(tab) <= k:
+            tab.append(_mul(tab[-1], images[i], n))
+        return tab[k]
+
+    acc: Dict[Exponent, int] = {}
+    for exp, ic in f.nums.items():
+        factors = [power(i, e) for i, e in enumerate(exp) if e]
+        factors.sort(key=len)
+        if not factors:
+            acc[zero] = acc.get(zero, 0) + ic
+            continue
+        prod = factors[0]
+        for fac in factors[1:]:
+            prod = _mul(prod, fac, n)
+        for e, v in prod.items():
+            acc[e] = acc.get(e, 0) + ic * v
+
+    return Form._from_ints(n, f.degree, f.den * s ** f.degree, acc)
+
+
 def evaluate(f: Form, p: Sequence) -> Fraction:
     """Exact value of f at p (any sequence of rationals).
 
@@ -207,6 +273,18 @@ def evaluate(f: Form, p: Sequence) -> Fraction:
             v *= tab[e]
         total += v
     return Fraction(total, f.den * big_b ** f.degree)
+
+
+def is_nonlacunary_positive(f: Form) -> bool:
+    """True iff all C(d+n-1, n-1) degree-d monomials have positive coefficients."""
+    n, d = f.nvars, f.degree
+    for combo in combinations_with_replacement(range(n), d):
+        exp = [0] * n
+        for i in combo:
+            exp[i] += 1
+        if f.nums.get(tuple(exp), 0) <= 0:
+            return False
+    return True
 
 
 def grid_min(f: Form, spec: GridSpec) -> Tuple[Fraction, Point]:

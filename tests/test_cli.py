@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from sds import cli
+from sds import cli, engine
 from sds.cli import main
 from sds.corpus import EXAMPLE1_TEXT, EXAMPLE2_TEXT
+from sds.forms import parse_form
 
 
 def run(capsys, *argv):
@@ -266,6 +267,25 @@ class TestVerifyCertificate:
         code, _, err = self.verify(capsys, tmp_path, "x^40+y^40+z^40+w^40", "x,y,z,w",
                                    [{"chain": [1], "form": "x^2"}, {"chain": [25], "form": "x^2"}])
         assert code == 3 and err == "error: chain index 25 out of range 1..24\n"
+
+    def test_total_expansion_budget_exit3_before_any_expansion(self, capsys, tmp_path, monkeypatch):
+        # each entry of (x+y+z+w)^12 is inside the per-entry budget, and a
+        # 32 MiB file holds about 3,600 of them
+        text, vars = "(x+y+z+w)^12", "x,y,z,w"
+        writes = engine._expansion_writes(parse_form(text, vars.split(",")))
+        assert writes <= engine.MAX_VERIFY_WRITES
+        over = engine.MAX_VERIFY_TOTAL_WRITES // writes + 1
+        expanded = []
+        monkeypatch.setattr(engine, "substitute_linear", lambda f, rows: expanded.append(rows) or f)
+        code, out, err = self.verify(capsys, tmp_path, text, vars,
+                                     [{"chain": [k], "form": "x^2"} for k in range(1, over + 1)])
+        assert code == 3 and out == "" and expanded == []
+        assert err == (f"error: verifying {over} entries of a 455-term form could write "
+                       f"over {engine.MAX_VERIFY_TOTAL_WRITES} terms\n")
+        # one entry fewer is inside the budget and reaches the expansion
+        code, out, _ = self.verify(capsys, tmp_path, text, vars,
+                                   [{"chain": [k], "form": "x^2"} for k in range(1, over)])
+        assert code == 1 and out == "certificate INVALID\n" and len(expanded) == 1
 
 
 class TestCorpus:

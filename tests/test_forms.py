@@ -14,7 +14,6 @@ from sds.forms import (
     ParseError,
     evaluate,
     int_value,
-    is_nonlacunary_positive,
     is_trivially_negative,
     is_trivially_positive,
     parse_form,
@@ -24,7 +23,7 @@ from sds.forms import (
 
 from helpers import forms, monomials, random_chain, random_form, random_point
 import reference
-from reference import SubMatrix, compose_chain, enumerate_pwn, sds_matrix
+from reference import SubMatrix, compose_chain, enumerate_pwn, is_nonlacunary_positive, sds_matrix, substitute_linear_powers
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -275,6 +274,37 @@ class TestSubstitute:
         f = parse_form("x^2", XY)
         with pytest.raises(FormError):
             substitute_linear(f, SubMatrix.identity(3))
+
+
+@st.composite
+def linear_substitutions(draw):
+    """(f, rows): a form in 1..5 variables of degree 0..8, possibly zero or
+    one-term, and a square matrix of signed fractions with some rows and
+    columns zeroed."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(0, 8))
+    f = draw(st.one_of(forms(n, d), forms(n, d, min_terms=1, max_terms=1)))
+    entry = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    zero_rows, zero_cols = draw(st.sets(st.integers(0, n - 1))), draw(st.sets(st.integers(0, n - 1)))
+    return f, [[Fraction(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+               for i, row in enumerate(rows)]
+
+
+class TestHornerSubstitution:
+    @settings(max_examples=150, deadline=None)
+    @given(linear_substitutions())
+    @example((Form(3, 4, {}), [[1, 2, 3], [0, 0, 0], [-1, Fraction(1, 2), 0]]))
+    @example((parse_form("-5/6*x*y^3*z^2", XYZ), [[Fraction(-2, 3), 0, 1], [1, 0, Fraction(7, 5)], [0, 0, -3]]))
+    @example((parse_form("1/2*x^4*y^4 - 3/7*x^8 + y^8", XY), [[Fraction(1, 3), -4], [0, 0]]))
+    def test_equals_power_tables(self, case):
+        f, rows = case
+        assert substitute_linear(f, rows) == substitute_linear_powers(f, rows)
+
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [1, 1]], [[1, 0, 0], [0, 1]]])
+    def test_non_square_matrix_rejected(self, rows):
+        f = parse_form("x^2 - y*z", XYZ)
+        with pytest.raises(FormError):
+            substitute_linear(f, rows)
 
 
 def fraction_value(f, p):
