@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Kernel microbench: forms.substitute_pwn on the n! children at levels 1
-and 2, forms.substitute_linear on certificate entries, and forms.evaluate
-at points of the simplex.
+and 2, forms.substitute_linear on certificate entries,
+engine.verify_certificate on whole certificates, and forms.evaluate at
+points of the simplex.
 
     python3 scripts/kernel_bench.py [--src DIR] [--baseline DIR] [--repeat K]
 
@@ -14,7 +15,10 @@ the Taylor shifts at n = 4.  The substitute_linear rows time the
 verifier's expansion of f(M·T), M an entry's chain matrix from
 `matrices.chain_vertices`: the six depth-1 entries of example3-p5's
 certificate, the 16 entries (depths 1 to 3) of example1's, and
-(x+y+z+w)^12 on the chain (7, 13, 2).  The evaluate rows time
+(x+y+z+w)^12 on the chain (7, 13, 2).  The verify_certificate rows time
+`engine.verify_certificate` on a whole certificate, one walk of its
+tree: example3-p5's six depth-1 entries and the breadth form pd-4413's
+2,715 entries (depth 4).  The evaluate rows time
 example3-p5 at 500 seeded random points of the simplex (drawn as the
 oracle's random search draws them), example3-p6 at the 325 points of
 the denominator-24 grid, and x^1000+y^1000 at 50 seeded random points.
@@ -45,7 +49,8 @@ from fractions import Fraction
 from itertools import permutations
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-# the second form of BREADTH in perfbench/workloads.py
+# the first two forms of BREADTH in perfbench/workloads.py
+PD_4413 = "(4*x-4*y)^2+(1*y-4*z)^2+(3*z-1*w)^2+1/30*(x+y+z+w)^2"
 PD_5232 = "(2*x-5*y)^2+(3*y-2*z)^2+(2*z-3*w)^2+1/30*(x+y+z+w)^2"
 MIN_BATCH_S = 0.05
 EVALUATE_SEED = 14
@@ -89,8 +94,11 @@ def rows(forms, package: pathlib.Path) -> dict:
             out.append((f, [[Fraction(x, den) for x in row] for row in zip(*verts)]))
         return out
 
+    def certificate(f):
+        return engine.yys_decide(f, engine.EngineConfig(emit_certificate=True)).certificate
+
     def certificate_chains(f):
-        return [chain for chain, _ in engine.yys_decide(f, engine.EngineConfig(emit_certificate=True)).certificate]
+        return [chain for chain, _ in certificate(f)]
 
     out = {}
     xyzw = ["x", "y", "z", "w"]
@@ -108,6 +116,9 @@ def rows(forms, package: pathlib.Path) -> dict:
         "xyzw12_chain7_13_2": linear(forms.parse_form("(x+y+z+w)^12", xyzw), [(7, 13, 2)]),
     }
     out["substitute_linear"] = {row: (forms.substitute_linear, calls, "call") for row, calls in entries.items()}
+    certified = {"p5_cert6": corpus("example3-p5"), "pd4413_cert2715": forms.parse_form(PD_4413, xyzw)}
+    out["verify_certificate"] = {row: (engine.verify_certificate, [(f, certificate(f))], "call")
+                                 for row, f in certified.items()}
     rng = random.Random(EVALUATE_SEED)
     grid = [(Fraction(a, 24), Fraction(b, 24), Fraction(24 - a - b, 24))
             for a in range(25) for b in range(25 - a)]

@@ -8,6 +8,9 @@ frontier is a positive-semidefiniteness certificate; depth and node budgets
 make non-termination a first-class Inconclusive outcome.  A per-layer memo
 substitutes a form reached by several chains once; it is kept only where it
 is read, with a certificate or without dedup (dedup alone keeps forms distinct).
+`verify_certificate` rechecks a certificate without the kernel, in one depth-first
+walk of the tree its chains claim, each child expanded from its parent by the
+generic `substitute_linear`; one budget on that walk's writes refuses it first.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .forms import (
     COEFFS_MODE,
     MAX_COEFF_BITS,
-    MAX_TERMS,
     Form,
     NEGATIVITY_MODES,
     Point,
@@ -35,9 +38,9 @@ from .matrices import Chain, barycenter_image, chain_vertices, check_chain, pwn_
 
 Certificate = Tuple[Tuple[Chain, Form], ...]
 
-# `_expansion_writes` allowed for one certificate entry, and summed over the entries
-MAX_VERIFY_WRITES = 4 * 10**6
-MAX_VERIFY_TOTAL_WRITES = 2 * 10**7
+# `_walk_writes` summed over the nodes a certificate walk expands, n! per
+# inner node; at 230-255 ns a write on a 2-vCPU x86_64 VM, about 2.5 s
+MAX_VERIFY_WRITES = 10**7
 
 
 class EngineError(ValueError):
@@ -184,43 +187,37 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
     return Inconclusive(depth_reached=cfg.max_depth, live_forms=nodes)
 
 
-def _expansion_writes(f: Form) -> int:
-    """A size bound for expanding f(M·T) with dense rows of M, in terms written:
-    per variable, the powers of its row up to its largest exponent, then per
-    term of f the products of its powers, smallest first (a dense row's k-th
-    power has C(k+n-1, n-1) terms).  `substitute_linear`'s Horner scheme
-    builds none of these products; the bound stays the measure the budgets
-    refuse by, so the inputs refused are those of the power-table expansion."""
-    size = [math.comb(k + f.nvars - 1, k) for k in range(f.degree + 1)]
-    writes = sum(f.nvars * size[k] for top in map(max, zip(*f.nums)) for k in range(top))
-    for exp in f.nums:
-        deg, terms = 0, 1
-        for e in sorted(exp):
-            deg += e
-            writes += terms * size[e]
-            terms = min(terms * size[e], size[deg])
-        writes += terms
-    return writes
+def _walk_writes(n: int, d: int) -> int:
+    """Terms `substitute_linear`'s Horner scheme writes for the dense degree-d
+    form in n variables and dense rows.  A trie node with remaining degree r
+    multiplies polynomials of degree δ < r by one row (n·C(δ+n-1, n-1)
+    writes) and adds a group of degree δ+1 (C(δ+n, n-1)): level[r].  Above
+    the last variable each node also expands its groups, one per a ≤ r."""
+    size = [math.comb(k + n - 1, n - 1) for k in range(d + 2)]
+    level = [0]
+    for delta in range(d):
+        level.append(level[-1] + n * size[delta] + size[delta + 1])
+    writes = level
+    for _ in range(n - 1):
+        writes = [a + b for a, b in zip(level, accumulate(writes))]
+    return writes[d]
 
 
 def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
     """Recompute and check a positive-termination certificate from scratch.
 
-    Valid iff every entry's form equals f(M·T), M the product of its
-    chain's matrices, every entry is trivially positive, and the chains
-    exactly cover the frontier of the pruned substitution tree: walking from
-    the root and descending into every non-certificate chain, each branch
-    must end on exactly one certificate chain, and no entry may be left
-    unused.  M is built from `chain_vertices` and f(M·T) is expanded by the
-    generic `substitute_linear`, a Horner scheme in products by one row of
-    M at a time, so no code is shared with `yys_decide`'s kernel.  A chain
-    index outside 1..n! or a chain longer than MAX_CHAIN_LENGTH raises
-    MatrixError.  Then EngineError refuses, before any expansion, work past
-    the parser's budgets: over MAX_TERMS terms written, n·C(d+n-1, n) for
-    one power of a row of M, or over MAX_COEFF_BITS denominator bits,
-    len(chain)·d·⌈log2 lcm(1..n)⌉; and past the verify budgets on the
-    size bound `_expansion_writes(f)`: over MAX_VERIFY_WRITES for one
-    entry, or over MAX_VERIFY_TOTAL_WRITES times the number of entries.
+    Valid iff the chains are the leaves of a tree in which every inner node
+    has all n! children, and each entry's form equals f(M·T), M the product
+    of its chain's matrices, and is trivially positive.  The tree is walked
+    once, depth first: a child's form is its parent's expanded by the rows
+    of one P_i·W_n, built from `chain_vertices`, with the generic
+    `substitute_linear`, so no code is shared with `yys_decide`'s kernel.
+    A chain index outside 1..n! or a chain longer than MAX_CHAIN_LENGTH
+    raises MatrixError.  Then EngineError refuses, before any expansion, a
+    chain that could need over MAX_COEFF_BITS denominator bits,
+    len(chain)·d·⌈log2 lcm(1..n)⌉, and a walk whose n! children per inner
+    node could write over MAX_VERIFY_WRITES terms, `_walk_writes(n, d)`
+    each.
     """
     if not cert:
         return False
@@ -228,35 +225,36 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
     # every index is checked before any substitution, whatever the entry order
     cert_map: Dict[Chain, Form] = {check_chain(chain, n): form for chain, form in cert}
     max_len = max(map(len, cert_map))
-    if max_len and n * math.comb(d + n - 1, n) > MAX_TERMS:
-        raise EngineError(f"verifying a degree-{d} form in {n} variables could write over {MAX_TERMS} terms")
     if max_len * d * (math.lcm(*range(1, n + 1)) - 1).bit_length() > MAX_COEFF_BITS:
         raise EngineError(f"verifying a length-{max_len} chain at degree {d} could need over {MAX_COEFF_BITS} bits")
-    writes = _expansion_writes(f) if max_len else 0
-    if writes > MAX_VERIFY_WRITES:
-        raise EngineError(f"verifying a {len(f.nums)}-term form could write over {MAX_VERIFY_WRITES} terms per entry")
-    if len(cert_map) * writes > MAX_VERIFY_TOTAL_WRITES:
-        raise EngineError(f"verifying {len(cert_map)} entries of a {len(f.nums)}-term form could write "
-                          f"over {MAX_VERIFY_TOTAL_WRITES} terms")
-    if len(cert_map) != len(cert):  # a duplicate chain
-        return False
-    for chain, form in cert_map.items():
-        verts, den = chain_vertices(chain, n)  # the columns of M are verts / den
-        if form != substitute_linear(f, [[Fraction(x, den) for x in row] for row in zip(*verts)]):
-            return False
-        if not is_trivially_positive(form):
-            return False
-
-    # depth first in index order, over chains alone
+    # the proper prefixes of the chains, each chain walked back to a known one
+    inner = set()
+    for chain in cert_map:
+        for k in range(len(chain) - 1, -1, -1):
+            if chain[:k] in inner:
+                break
+            inner.add(chain[:k])
     count = len(pwn_perms(n))
-    seen = set()
-    stack: List[Chain] = [()]
+    if count * len(inner) * _walk_writes(n, d) > MAX_VERIFY_WRITES:
+        raise EngineError(f"verifying {count * len(inner)} substitutions of a degree-{d} form in {n} variables "
+                          f"could write over {MAX_VERIFY_WRITES} terms")
+    # distinct chains, none inner, are the leaves of the tree of their prefixes;
+    # its len(cert_map) + len(inner) - 1 edges are n! per inner node iff no
+    # inner node lacks a child
+    if len(cert_map) != len(cert) or not inner.isdisjoint(cert_map) \
+            or len(cert_map) + len(inner) - 1 != count * len(inner):
+        return False
+
+    # the columns of P_i·W_n are verts / den
+    steps = [[[Fraction(x, den) for x in row] for row in zip(*verts)]
+             for verts, den in (chain_vertices((i,), n) for i in range(1, count + 1))]
+    stack: List[Tuple[Chain, Form]] = [((), f)]  # a node and its parent's form (the root's own)
     while stack:
-        chain = stack.pop()
-        if chain in cert_map:
-            seen.add(chain)
-            continue
-        if len(chain) >= max_len:
+        chain, form = stack.pop()
+        if chain:
+            form = substitute_linear(form, steps[chain[-1] - 1])
+        if chain in inner:
+            stack.extend((chain + (i,), form) for i in range(count, 0, -1))
+        elif form != cert_map[chain] or not is_trivially_positive(form):
             return False
-        stack.extend(chain + (i,) for i in range(count, 0, -1))
-    return len(seen) == len(cert_map)
+    return True

@@ -83,7 +83,10 @@ def forms(draw, n=None, d=None, min_terms=0, max_terms=None):
     signed rational coefficients, min_terms to max_terms of them non-zero."""
     n = draw(st.integers(1, 4)) if n is None else n
     d = draw(st.integers(0, 6)) if d is None else d
-    coefs = st.fractions(min_value=-100, max_value=100, max_denominator=60)
+    # every p/q with q <= 60 and |p/q| <= 100, as st.fractions(-100, 100,
+    # max_denominator=60) draws them, without its flatmap: t·q // 60 takes
+    # every value in -100q..100q as t runs over -6000..6000
+    coefs = st.builds(lambda t, q: Fraction(t * q // 60, q), st.integers(-6000, 6000), st.integers(1, 60))
     if min_terms:
         coefs = coefs.filter(bool)
     terms = draw(st.dictionaries(st.sampled_from(monomials(n, d)), coefs, min_size=min_terms, max_size=max_terms))

@@ -12,6 +12,12 @@ power tables of the rows and products of powers per term, the way
 `sds.forms.substitute_linear` did before its Horner scheme, which is
 tested against it.
 
+`verify_certificate_root_up` is `sds.engine.verify_certificate` as it
+was before its one-pass walk, without its budgets: every entry's form is
+expanded from the root by its chain's `compose_chain` product, and a
+second walk over the chains alone checks that they cover the tree.  The
+one-pass verifier is tested against it.
+
 `evaluate` computes each power x**k on its own and walks the terms one by
 one; `grid_min` and `random_negative_search` build a Fraction point and
 value for every sample through it.  `sds.forms.evaluate`, `int_value` and
@@ -30,7 +36,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from sds.forms import Exponent, Form, FormError, Point, _mul
+from sds.forms import Exponent, Form, FormError, Point, _mul, is_trivially_positive, substitute_linear
 from sds.matrices import MatrixError, check_chain, pwn_perms
 from sds.oracle import MAX_RANDOM_DENOMINATOR, GridSpec, iter_grid
 
@@ -252,6 +258,36 @@ def substitute_linear_powers(f: Form, rows: Sequence[Sequence]) -> Form:
             acc[e] = acc.get(e, 0) + ic * v
 
     return Form._from_ints(n, f.degree, f.den * s ** f.degree, acc)
+
+
+def verify_certificate_root_up(f: Form, cert: Sequence[Tuple[Tuple[int, ...], Form]]) -> bool:
+    """Valid iff every entry's form equals f(M·T), M its chain's product, and
+    is trivially positive, and walking from the root and descending into
+    every non-certificate chain ends each branch on exactly one certificate
+    chain, with no entry left unused."""
+    if not cert:
+        return False
+    n = f.nvars
+    cert_map = {check_chain(chain, n): form for chain, form in cert}
+    if len(cert_map) != len(cert):  # a duplicate chain
+        return False
+    for chain, form in cert_map.items():
+        if form != substitute_linear(f, compose_chain(chain, n)) or not is_trivially_positive(form):
+            return False
+
+    max_len = max(map(len, cert_map))
+    count = len(pwn_perms(n))
+    seen = set()
+    stack: List[Tuple[int, ...]] = [()]
+    while stack:
+        chain = stack.pop()
+        if chain in cert_map:
+            seen.add(chain)
+            continue
+        if len(chain) >= max_len:
+            return False
+        stack.extend(chain + (i,) for i in range(count, 0, -1))
+    return len(seen) == len(cert_map)
 
 
 def evaluate(f: Form, p: Sequence) -> Fraction:

@@ -8,7 +8,6 @@ import pytest
 from sds import cli, engine
 from sds.cli import main
 from sds.corpus import EXAMPLE1_TEXT, EXAMPLE2_TEXT
-from sds.forms import parse_form
 
 
 def run(capsys, *argv):
@@ -269,22 +268,19 @@ class TestVerifyCertificate:
         assert code == 3 and err == "error: chain index 25 out of range 1..24\n"
 
     def test_total_expansion_budget_exit3_before_any_expansion(self, capsys, tmp_path, monkeypatch):
-        # each entry of (x+y+z+w)^12 is inside the per-entry budget, and a
-        # 32 MiB file holds about 3,600 of them
+        # a walk of (x+y+z+w)^12 writes 24 · 276,132 terms per inner node, so one
+        # inner node is inside the budget and two are not
         text, vars = "(x+y+z+w)^12", "x,y,z,w"
-        writes = engine._expansion_writes(parse_form(text, vars.split(",")))
-        assert writes <= engine.MAX_VERIFY_WRITES
-        over = engine.MAX_VERIFY_TOTAL_WRITES // writes + 1
+        assert 24 * engine._walk_writes(4, 12) <= engine.MAX_VERIFY_WRITES < 48 * engine._walk_writes(4, 12)
         expanded = []
         monkeypatch.setattr(engine, "substitute_linear", lambda f, rows: expanded.append(rows) or f)
+        depth1 = [{"chain": [k], "form": "x^2"} for k in range(1, 25)]
         code, out, err = self.verify(capsys, tmp_path, text, vars,
-                                     [{"chain": [k], "form": "x^2"} for k in range(1, over + 1)])
+                                     [{"chain": [1, k], "form": "x^2"} for k in range(1, 25)] + depth1[1:])
         assert code == 3 and out == "" and expanded == []
-        assert err == (f"error: verifying {over} entries of a 455-term form could write "
-                       f"over {engine.MAX_VERIFY_TOTAL_WRITES} terms\n")
-        # one entry fewer is inside the budget and reaches the expansion
-        code, out, _ = self.verify(capsys, tmp_path, text, vars,
-                                   [{"chain": [k], "form": "x^2"} for k in range(1, over)])
+        assert err == ("error: verifying 48 substitutions of a degree-12 form in 4 variables could write "
+                       f"over {engine.MAX_VERIFY_WRITES} terms\n")
+        code, out, _ = self.verify(capsys, tmp_path, text, vars, depth1)
         assert code == 1 and out == "certificate INVALID\n" and len(expanded) == 1
 
 

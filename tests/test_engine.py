@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sds import engine
 from sds.corpus import CORPUS_VARS, EXAMPLE1_TEXT, EXAMPLE2_TEXT, corpus_text
@@ -30,8 +31,8 @@ from sds.forms import (
 from sds.matrices import pwn_perms
 from sds.oracle import GridSpec, grid_min
 
-from helpers import random_form
-from reference import compose_chain
+from helpers import forms, monomials, random_form
+from reference import compose_chain, verify_certificate_root_up
 
 F = Fraction
 XY = ["x", "y"]
@@ -44,6 +45,30 @@ BREADTH = {
     "pd-5232": ("(2*x-5*y)^2+(3*y-2*z)^2+(2*z-3*w)^2+1/30*(x+y+z+w)^2", EngineConfig()),
     "zero-interior": ("(3*x-2*y)^2+(4*y-3*z)^2+(5*z-4*w)^2", EngineConfig(node_budget=20000)),
 }
+
+
+@st.composite
+def certified(draw):
+    """A form in 1..3 variables of degree 0..5 that `yys_decide` certifies
+    within depth 2, and its certificate as a list."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    # ε·(x_1 + ... + x_n)^d plus small non-negative terms ...
+    eps = F(1, draw(st.integers(1, 20)))
+    terms = {e: eps * math.factorial(d) / math.prod(map(math.factorial, e)) for e in monomials(n, d)}
+    for e, c in draw(forms(n, d)).terms.items():
+        terms[e] += abs(c) / 100
+    if n >= 2 and d >= 2:
+        # ... plus (p·x_1 − q·x_2)²·x_k^(d−2), zero where p·x_1 = q·x_2, so
+        # that the certificate is often deeper than the root
+        p, q, k = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, n - 1))
+        for e, c in (((2, 0), p * p), ((1, 1), -2 * p * q), ((0, 2), q * q)):
+            e = [*e] + [0] * (n - 2)
+            e[k] += d - 2
+            terms[tuple(e)] += c
+    f = Form(n, d, terms)
+    v = yys_decide(f, EngineConfig(max_depth=2, emit_certificate=True))
+    assume(isinstance(v, PositiveSemidefinite))
+    return f, list(v.certificate)
 
 
 def expand_once(f):
@@ -283,6 +308,34 @@ class TestCertificates:
         }[tamper]
         assert verify_certificate(example1, cert) == (tamper == "none")
 
+    @settings(max_examples=100, deadline=None)
+    @given(certified(), st.data())
+    def test_equals_root_up_verifier(self, certified, data):
+        f, cert = certified
+        n = f.nvars
+        k = data.draw(st.integers(0, len(cert) - 1))
+        i = data.draw(st.integers(1, math.factorial(n)))
+        factor = data.draw(st.sampled_from([-1, 2, F(1, 3)]))
+        chain, form = cert[k]
+
+        def entry(chain):
+            return chain, substitute_linear(f, compose_chain(chain, n))
+
+        variants = {
+            "emitted": cert,
+            "dropped": cert[:k] + cert[k + 1:],
+            "duplicated": cert + cert[k:k + 1],
+            "scaled": cert[:k] + [(chain, Form(n, f.degree, {e: factor * c for e, c in form.terms.items()}))]
+            + cert[k + 1:],
+            "extra child": cert + [entry(chain + (i,))],
+            "extended": [(c + (i,), g) for c, g in cert],
+            "leaf split": cert[:k] + [entry(chain + (j,)) for j in range(1, math.factorial(n) + 1)] + cert[k + 1:],
+            "root alone": [((), f)],  # correct, and trivially positive only at depth 0
+        }
+        results = {name: verify_certificate(f, v) for name, v in variants.items()}
+        assert results == {name: verify_certificate_root_up(f, v) for name, v in variants.items()}
+        assert results["emitted"] and results["leaf split"]
+
     def test_long_chain_walk_is_iterative(self):
         # n = 1 has one child per level, so only the walk's depth is large
         f = parse_form("x^2", ["x"])
@@ -353,7 +406,6 @@ class TestLayerMemo:
         if isinstance(on, PositiveSemidefinite):
             assert off == PositiveSemidefinite(depth=on.depth)
             assert len(on.certificate) == on_stats.forms_pruned
-            if key != "pd-5232":  # its 9,684 entries take verify_certificate about 20 s
-                assert verify_certificate(f, on.certificate)
+            assert verify_certificate(f, on.certificate)
         else:
             assert off == on
