@@ -139,8 +139,10 @@ def _write_certificate(path: str, verdict: Verdict, vars: Sequence[str]) -> bool
 
 def _read_certificate(path: str, vars: Sequence[str]) -> List[Tuple[Tuple, Form]]:
     """The (chain, form) entries of a file in the format _write_certificate writes."""
-    with open(path, "rb") as fh:  # a pipe has no size to check beforehand
-        data = fh.read(MAX_CERTIFICATE_BYTES + 1)
+    data = bytearray()
+    with open(path, "rb") as fh:  # by chunks: a pipe has no size; one read of the limit allocates it
+        while len(data) <= MAX_CERTIFICATE_BYTES and (chunk := fh.read(1 << 16)):
+            data += chunk
     if len(data) > MAX_CERTIFICATE_BYTES:
         raise ValueError(f"a certificate file exceeds the limit of {MAX_CERTIFICATE_BYTES} bytes")
     payload = json.loads(data.decode("utf-8"))  # bad UTF-8 is a ValueError too

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .forms import (
@@ -31,14 +30,16 @@ from .forms import (
     evaluate,
     is_trivially_negative,
     is_trivially_positive,
+    linear_writes,
     substitute_linear,
     substitute_pwn,
 )
 from .matrices import Chain, barycenter_image, chain_vertices, check_chain, pwn_perms
 
 Certificate = Tuple[Tuple[Chain, Form], ...]
+Node = Tuple[int, int]  # a trie node's key, its parent's id and its last index; None is the root
 
-# `_walk_writes` summed over the nodes a certificate walk expands, n! per
+# `linear_writes` summed over the nodes a certificate walk expands, n! per
 # inner node; at 230-255 ns a write on a 2-vCPU x86_64 VM, about 2.5 s
 MAX_VERIFY_WRITES = 10**7
 
@@ -187,22 +188,6 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
     return Inconclusive(depth_reached=cfg.max_depth, live_forms=nodes)
 
 
-def _walk_writes(n: int, d: int) -> int:
-    """Terms `substitute_linear`'s Horner scheme writes for the dense degree-d
-    form in n variables and dense rows.  A trie node with remaining degree r
-    multiplies polynomials of degree δ < r by one row (n·C(δ+n-1, n-1)
-    writes) and adds a group of degree δ+1 (C(δ+n, n-1)): level[r].  Above
-    the last variable each node also expands its groups, one per a ≤ r."""
-    size = [math.comb(k + n - 1, n - 1) for k in range(d + 2)]
-    level = [0]
-    for delta in range(d):
-        level.append(level[-1] + n * size[delta] + size[delta + 1])
-    writes = level
-    for _ in range(n - 1):
-        writes = [a + b for a, b in zip(level, accumulate(writes))]
-    return writes[d]
-
-
 def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
     """Recompute and check a positive-termination certificate from scratch.
 
@@ -215,46 +200,46 @@ def verify_certificate(f: Form, cert: Sequence[Tuple[Chain, Form]]) -> bool:
     A chain index outside 1..n! or a chain longer than MAX_CHAIN_LENGTH
     raises MatrixError.  Then EngineError refuses, before any expansion, a
     chain that could need over MAX_COEFF_BITS denominator bits,
-    len(chain)·d·⌈log2 lcm(1..n)⌉, and a walk whose n! children per inner
-    node could write over MAX_VERIFY_WRITES terms, `_walk_writes(n, d)`
-    each.
+    len(chain)·d·⌈log2 lcm(1..n)⌉, and, as soon as its trie passes it, a
+    tree whose n! children per inner node cost over MAX_VERIFY_WRITES.
     """
     if not cert:
         return False
     n, d = f.nvars, f.degree
     # every index is checked before any substitution, whatever the entry order
-    cert_map: Dict[Chain, Form] = {check_chain(chain, n): form for chain, form in cert}
-    max_len = max(map(len, cert_map))
+    chains = [check_chain(chain, n) for chain, _ in cert]
+    max_len = max(map(len, chains))
     if max_len * d * (math.lcm(*range(1, n + 1)) - 1).bit_length() > MAX_COEFF_BITS:
         raise EngineError(f"verifying a length-{max_len} chain at degree {d} could need over {MAX_COEFF_BITS} bits")
-    # the proper prefixes of the chains, each chain walked back to a known one
-    inner = set()
-    for chain in cert_map:
-        for k in range(len(chain) - 1, -1, -1):
-            if chain[:k] in inner:
-                break
-            inner.add(chain[:k])
     count = len(pwn_perms(n))
-    if count * len(inner) * _walk_writes(n, d) > MAX_VERIFY_WRITES:
-        raise EngineError(f"verifying {count * len(inner)} substitutions of a degree-{d} form in {n} variables "
-                          f"could write over {MAX_VERIFY_WRITES} terms")
-    # distinct chains, none inner, are the leaves of the tree of their prefixes;
-    # its len(cert_map) + len(inner) - 1 edges are n! per inner node iff no
-    # inner node lacks a child
-    if len(cert_map) != len(cert) or not inner.isdisjoint(cert_map) \
-            or len(cert_map) + len(inner) - 1 != count * len(inner):
+    cost = count * linear_writes(n, d)
+    # the tree as a trie: `inner` numbers the inner nodes, `leaves` holds the forms
+    inner: Dict[Optional[Node], int] = {}
+    leaves: Dict[Optional[Node], Form] = {}
+    for chain, (_, form) in zip(chains, cert):
+        key = None
+        for idx in chain:
+            key = (inner.setdefault(key, len(inner)), idx)
+        leaves[key] = form
+        if cost * len(inner) > MAX_VERIFY_WRITES:
+            raise EngineError(f"verifying {count * len(inner)} substitutions of a degree-{d} form in {n} variables "
+                              f"could write over {MAX_VERIFY_WRITES} terms")
+    # distinct chains, none inner, are the leaves of the tree of their prefixes, and
+    # its len(leaves) + len(inner) - 1 edges are n! per inner node iff none lacks a child
+    if len(leaves) != len(cert) or not inner.keys().isdisjoint(leaves) \
+            or len(leaves) + len(inner) - 1 != count * len(inner):
         return False
 
-    # the columns of P_i·W_n are verts / den
+    # the rows of each P_i·W_n, whose columns are verts / den; none for the root alone
     steps = [[[Fraction(x, den) for x in row] for row in zip(*verts)]
-             for verts, den in (chain_vertices((i,), n) for i in range(1, count + 1))]
-    stack: List[Tuple[Chain, Form]] = [((), f)]  # a node and its parent's form (the root's own)
+             for verts, den in (chain_vertices((i,), n) for i in range(1, count + 1) if inner)]
+    stack: List[Tuple[Optional[Node], Form]] = [(None, f)]  # a node and its parent's form (the root's own)
     while stack:
-        chain, form = stack.pop()
-        if chain:
-            form = substitute_linear(form, steps[chain[-1] - 1])
-        if chain in inner:
-            stack.extend((chain + (i,), form) for i in range(count, 0, -1))
-        elif form != cert_map[chain] or not is_trivially_positive(form):
+        key, form = stack.pop()
+        if key is not None:
+            form = substitute_linear(form, steps[key[1] - 1])
+        if key in inner:
+            stack.extend(((inner[key], i), form) for i in range(count, 0, -1))
+        elif form != leaves[key] or not is_trivially_positive(form):
             return False
     return True

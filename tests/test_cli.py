@@ -2,12 +2,14 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from sds import cli, engine
 from sds.cli import main
 from sds.corpus import EXAMPLE1_TEXT, EXAMPLE2_TEXT
+from sds.forms import linear_writes
 
 
 def run(capsys, *argv):
@@ -268,10 +270,10 @@ class TestVerifyCertificate:
         assert code == 3 and err == "error: chain index 25 out of range 1..24\n"
 
     def test_total_expansion_budget_exit3_before_any_expansion(self, capsys, tmp_path, monkeypatch):
-        # a walk of (x+y+z+w)^12 writes 24 · 276,132 terms per inner node, so one
+        # a walk of (x+y+z+w)^12 writes 24 · 276,452 terms per inner node, so one
         # inner node is inside the budget and two are not
         text, vars = "(x+y+z+w)^12", "x,y,z,w"
-        assert 24 * engine._walk_writes(4, 12) <= engine.MAX_VERIFY_WRITES < 48 * engine._walk_writes(4, 12)
+        assert 24 * linear_writes(4, 12) <= engine.MAX_VERIFY_WRITES < 48 * linear_writes(4, 12)
         expanded = []
         monkeypatch.setattr(engine, "substitute_linear", lambda f, rows: expanded.append(rows) or f)
         depth1 = [{"chain": [k], "form": "x^2"} for k in range(1, 25)]
@@ -282,6 +284,23 @@ class TestVerifyCertificate:
                        f"over {engine.MAX_VERIFY_WRITES} terms\n")
         code, out, _ = self.verify(capsys, tmp_path, text, vars, depth1)
         assert code == 1 and out == "certificate INVALID\n" and len(expanded) == 1
+
+    def test_early_parting_long_chains_exit3_in_bounded_memory(self, capsys, tmp_path):
+        # 8 chains of 5000 that part within 3 indices have 39,983 distinct
+        # proper prefixes, over the 36,764 inner nodes the budget allows at
+        # n = 2, d = 1; kept as prefix tuples they would take about 800 MB
+        chains = [[1 + (k >> b & 1) for b in range(3)] + [1] * 4997 for k in range(8)]
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = self.verify(capsys, tmp_path, "x + y", "x,y", [{"chain": c, "form": "x"} for c in chains])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == "" and elapsed < 2 and peak < 16 * 2**20
+        assert err == ("error: verifying 79966 substitutions of a degree-1 form in 2 variables could write "
+                       f"over {engine.MAX_VERIFY_WRITES} terms\n")
 
 
 class TestCorpus:

@@ -15,6 +15,7 @@ from sds.engine import (
     EngineError,
     EngineStats,
     Inconclusive,
+    MAX_VERIFY_WRITES,
     PositiveSemidefinite,
     verify_certificate,
     yys_decide,
@@ -24,6 +25,7 @@ from sds.forms import (
     evaluate,
     in_simplex,
     is_trivially_positive,
+    linear_writes,
     parse_form,
     substitute_linear,
     substitute_pwn,
@@ -340,6 +342,22 @@ class TestCertificates:
         # n = 1 has one child per level, so only the walk's depth is large
         f = parse_form("x^2", ["x"])
         assert verify_certificate(f, [((1,) * 3000, f)])
+
+    def test_root_alone_builds_no_step_matrices(self, monkeypatch):
+        # n = 8 has 40,320 P_i·W_n; a certificate with no inner node needs none
+        f = parse_form("a+b+c+d+e+g+h+k", list("abcdeghk"))
+        monkeypatch.setattr(engine, "chain_vertices", lambda *args: pytest.fail("built a step matrix"))
+        assert verify_certificate(f, [((), f)])
+
+    def test_walk_budget_counts_every_substitution_at_degree_0(self):
+        # each substitution costs at least its setup, so a constant form's
+        # tree is refused too: 8 chains of 5000 that part within 3 indices
+        # have 39,983 inner nodes, over 10^7 / (2 · linear_writes(2, 0))
+        f = parse_form("3", XY)
+        assert MAX_VERIFY_WRITES // (2 * linear_writes(2, 0)) < 39_983
+        cert = [(tuple(1 + (k >> b & 1) for b in range(3)) + (1,) * 4997, f) for k in range(8)]
+        with pytest.raises(EngineError, match="verifying 79966 substitutions of a degree-0 form"):
+            verify_certificate(f, cert)
 
 
 class TestLayerMemo:
