@@ -39,6 +39,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
 MAX_CERTIFICATE_BYTES = 32 * 2**20  # json.loads needs about 11 bytes of memory per byte
+MAX_POLYNOMIAL_BYTES = 32 * 2**20  # the parser's memory is bounded by the text and the form
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,10 +81,20 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
     return cfg
 
 
+def _read_file(path: str, limit: int, what: str) -> str:
+    """The UTF-8 text of a file, refused past `limit` bytes."""
+    data = bytearray()
+    with open(path, "rb") as fh:  # by chunks: a pipe has no size; one read of the limit allocates it
+        while len(data) <= limit and (chunk := fh.read(1 << 16)):
+            data += chunk
+    if len(data) > limit:
+        raise ValueError(f"a {what} file exceeds the limit of {limit} bytes")
+    return data.decode("utf-8")  # bad UTF-8 is a ValueError too
+
+
 def _read_source(args: argparse.Namespace) -> str:
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return fh.read().strip()
+        return _read_file(args.file, MAX_POLYNOMIAL_BYTES, "polynomial").strip()
     if args.polynomial is None:
         raise FormError("no polynomial given (pass it inline or via --file)")
     return args.polynomial
@@ -139,13 +150,7 @@ def _write_certificate(path: str, verdict: Verdict, vars: Sequence[str]) -> bool
 
 def _read_certificate(path: str, vars: Sequence[str]) -> List[Tuple[Tuple, Form]]:
     """The (chain, form) entries of a file in the format _write_certificate writes."""
-    data = bytearray()
-    with open(path, "rb") as fh:  # by chunks: a pipe has no size; one read of the limit allocates it
-        while len(data) <= MAX_CERTIFICATE_BYTES and (chunk := fh.read(1 << 16)):
-            data += chunk
-    if len(data) > MAX_CERTIFICATE_BYTES:
-        raise ValueError(f"a certificate file exceeds the limit of {MAX_CERTIFICATE_BYTES} bytes")
-    payload = json.loads(data.decode("utf-8"))  # bad UTF-8 is a ValueError too
+    payload = json.loads(_read_file(path, MAX_CERTIFICATE_BYTES, "certificate"))
     if not isinstance(payload, list):
         raise ValueError("a certificate is a JSON list of {chain, form} objects")
     if len(payload) > EngineConfig.node_budget:  # the most a default decide emits

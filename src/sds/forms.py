@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
@@ -123,7 +124,6 @@ class Form:
 # parsing
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*^()/")
 # parentheses deeper than this are refused; each level costs the parser four
 # stack frames, well inside the interpreter's recursion limit
 MAX_NESTING = 100
@@ -135,36 +135,25 @@ MAX_DEGREE = 1000
 MAX_TERMS = 200_000
 MAX_COEFF_BITS = 10_000
 
+# integers are ASCII digits; a name is a letter or '_', then letters, digits
+# or '_' (\w is str.isalnum() or '_'); whitespace matches nothing, so
+# finditer skips it, and any other character is a "bad" token
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
+
+def _check_characters(text: str) -> None:
+    """Refuse the first "bad" token, or a name that starts with a numeral such as '½'."""
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad" or (kind == "name" and not (m.group()[0].isalpha() or m.group()[0] == "_")):
+            raise ParseError(f"unexpected character {m.group()[0]!r}", m.start())
+
+
+def _tokenize(text: str) -> Iterator[Tuple[str, str, int]]:
+    """The (kind, text, position) of each token, then ("end", "", len(text))."""
+    for m in _TOKEN.finditer(text):
+        yield m.lastgroup, m.group(), m.start()
+    yield "end", "", len(text)
 
 
 class _Parser:
@@ -179,18 +168,16 @@ class _Parser:
     """
 
     def __init__(self, text: str, vars: Sequence[str]):
+        _check_characters(text)  # a bad character is reported before any syntax error
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.lookahead = next(self.tokens)
         self.nesting = 0
         self.nvars = len(vars)
         self.varindex = {name: i for i, name in enumerate(vars)}
 
-    def peek(self) -> Tuple[str, str, int]:
-        return self.tokens[self.pos]
-
     def next(self) -> Tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.lookahead
+        self.lookahead = next(self.tokens, tok)  # past the end, "end" again
         return tok
 
     def expect_op(self, op: str) -> None:
@@ -202,26 +189,25 @@ class _Parser:
     # possibly non-homogeneous until the final Form check
     def parse(self) -> Dict[Exponent, Fraction]:
         poly = self.expr()
-        kind, val, at = self.peek()
+        kind, val, at = self.lookahead
         if kind != "end":
             raise ParseError(f"unexpected {val!r}", at)
         return poly
 
     def expr(self) -> Dict[Exponent, Fraction]:
         poly = self.term()  # a leading sign belongs to the first factor
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                poly = _add(poly, _scale(rhs, -1 if val == "-" else 1))
-            else:
-                return poly
+        while (tok := self.lookahead)[0] == "op" and tok[1] in "+-":
+            self.next()
+            for e, c in self.term().items():  # summed in place: no term holds a 0
+                poly[e] = poly.get(e, 0) + (-c if tok[1] == "-" else c)
+                if not poly[e]:
+                    del poly[e]
+        return poly
 
     def term(self) -> Dict[Exponent, Fraction]:
         poly, bits = self.factor()
         while True:
-            kind, val, at = self.peek()
+            kind, val, at = self.lookahead
             if kind == "op" and val == "*":
                 self.next()
                 rhs, rhs_bits = self.factor()
@@ -235,7 +221,7 @@ class _Parser:
     def factor(self) -> Tuple[Dict[Exponent, Fraction], int]:
         sign = 1
         while True:
-            kind, val, _ = self.peek()
+            kind, val, _ = self.lookahead
             if kind == "op" and val in "+-":
                 self.next()
                 if val == "-":
@@ -243,15 +229,16 @@ class _Parser:
             else:
                 break
         base, bits = self.primary()
-        kind, val, caret = self.peek()
+        kind, val, caret = self.lookahead
         if kind == "op" and val == "^":
             self.next()
             kind, val, at = self.next()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer literal", at)
-            k = int(val)
-            if k > MAX_DEGREE:
-                raise ParseError(f"exponent {k} exceeds the limit of {MAX_DEGREE}", caret)
+            digits = val.lstrip("0") or "0"  # counted before int(), which refuses 4300 digits
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                raise ParseError(f"exponent {digits} exceeds the limit of {MAX_DEGREE}", caret)
+            k = int(digits)
             bits *= k
             _check_budget(k * _degree(base), _power_writes(base, k, self.nvars), bits, caret)
             base = _pow(base, k, self.nvars)
@@ -260,14 +247,14 @@ class _Parser:
     def primary(self) -> Tuple[Dict[Exponent, Fraction], int]:
         kind, val, at = self.next()
         if kind == "int":
-            num = int(val)
-            k2, v2, _ = self.peek()
+            num = _literal(val, at)
+            k2, v2, _ = self.lookahead
             if k2 == "op" and v2 == "/":
                 self.next()
                 k3, v3, at3 = self.next()
                 if k3 != "int":
                     raise ParseError("expected integer denominator", at3)
-                den = int(v3)
+                den = _literal(v3, at3)
                 if den == 0:
                     raise ParseError("zero denominator", at3)
                 return _const(Fraction(num, den), self.nvars), max(num.bit_length(), den.bit_length())
@@ -287,6 +274,15 @@ class _Parser:
             self.nesting -= 1
             return poly, _coeff_bits(poly)
         raise ParseError(f"unexpected {val or 'end of input'!r}", at)
+
+
+def _literal(digits: str, at: int) -> int:
+    """The value of an integer literal, refused by its digit count before
+    int() when it is at least 10^(MAX_COEFF_BITS/3) > 2^MAX_COEFF_BITS."""
+    digits = digits.lstrip("0")
+    if (len(digits) - 1) * 3 >= MAX_COEFF_BITS:
+        raise ParseError(f"coefficients could need more than {MAX_COEFF_BITS} bits", at)
+    return int(digits or "0")
 
 
 def _degree(p: Dict[Exponent, Fraction]) -> int:
@@ -339,17 +335,6 @@ def _scale(p: Dict[Exponent, Fraction], s) -> Dict[Exponent, Fraction]:
     if s == 1:
         return p
     return {e: c * s for e, c in p.items() if c * s != 0}
-
-
-def _add(a: Dict[Exponent, Fraction], b: Dict[Exponent, Fraction]) -> Dict[Exponent, Fraction]:
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
 
 
 def _mul(a: Dict[Exponent, Fraction], b: Dict[Exponent, Fraction], nvars: int) -> Dict[Exponent, Fraction]:

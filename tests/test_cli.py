@@ -88,6 +88,22 @@ class TestDecide:
         code, _, _ = run(capsys, "decide", "--file", str(path), "--vars", "x,y,z")
         assert code == 0
 
+    def test_file_size_limit_exit3_before_parsing(self, capsys, tmp_path, monkeypatch):
+        # --file is read by the certificate's bounded reader, under its own limit
+        path = tmp_path / "form.txt"
+        path.write_text("x^2 + y^2\n")  # 10 bytes
+        parsed = []
+        real_parse = cli.parse_form
+        monkeypatch.setattr(cli, "parse_form", lambda text, vars: parsed.append(text) or real_parse(text, vars))
+        monkeypatch.setattr(cli, "MAX_POLYNOMIAL_BYTES", 9)
+        code, out, err = run(capsys, "decide", "--file", str(path), "--vars", "x,y")
+        assert (code, out, parsed) == (3, "", [])
+        assert err == "error: a polynomial file exceeds the limit of 9 bytes\n"
+        monkeypatch.setattr(cli, "MAX_POLYNOMIAL_BYTES", 10)
+        code, out, err = run(capsys, "decide", "--file", str(path), "--vars", "x,y")
+        assert (code, out, err) == (0, "positive semi-definite (depth 0)\n", "")
+        assert parsed == ["x^2 + y^2"]
+
     def test_certificate_roundtrip(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         code, out, _ = run(

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -187,6 +188,65 @@ class TestParse:
         finally:
             forms_module._mul = real_mul
         assert sum(written) <= forms_module._power_writes(poly, k, n)
+
+    @pytest.mark.parametrize("text, message, pos", [
+        ("x^\u00b2", "unexpected character '\u00b2'", 2),  # a superscript two is no integer
+        ("x^\u0663", "unexpected character '\u0663'", 2),  # nor is an Arabic-Indic three
+        ("2\u0663*x", "unexpected character '\u0663'", 1),
+        ("\u00bd*x", "unexpected character '\u00bd'", 0),  # a numeral starts no name
+        ("x^2 + * y + $", "unexpected character '$'", 12),  # before the syntax error at 6
+        ("1" + "0" * 5000 + "*x", "coefficients could need more than 10000 bits", 0),
+        ("1/1" + "0" * 5000 + "*x", "coefficients could need more than 10000 bits", 2),
+        ("x^" + "1" * 5000, "exponent " + "1" * 5000 + " exceeds the limit of 1000", 1),
+    ], ids=lambda v: v[:16] if isinstance(v, str) else None)
+    def test_literals_and_characters_refused_with_a_position(self, text, message, pos):
+        with pytest.raises(ParseError) as exc:
+            parse_form(text, XY)
+        assert str(exc.value) == f"{message} (at position {pos})"
+
+    def test_leading_zeros_are_not_digits_of_a_budget(self):
+        assert parse_form("x^" + "0" * 5000 + "2", XY) == parse_form("x^2", XY)
+        assert parse_form("0" * 5000 + "3*x", XY) == parse_form("3*x", XY)
+        with pytest.raises(ParseError, match="exponent 1001 exceeds") as exc:
+            parse_form("x^0001001", XY)
+        assert exc.value.pos == 1
+
+    def test_parse_memory_bounded_by_the_text(self):
+        # 9.9 MiB with a token list and a copy of the sum at every '+'
+        text = "+".join(["x"] * 50000)
+        tracemalloc.start()
+        try:
+            f = parse_form(text, ["x"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f == Form(1, 1, {(1,): 50000})
+        assert peak < 2**20
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_only_parse_and_form_errors(self, data):
+        # operands and operators alternate, so that many texts reach the parser's
+        # literals and budgets before a syntax error
+        digit = st.sampled_from("0123456789\u0663\u0966\u00b2\u00bd")  # ASCII and other digits
+        literal = st.one_of(
+            st.integers(0, 10**6).map(str),
+            st.text(digit, min_size=1, max_size=6),
+            st.builds(str.__mul__, digit, st.integers(1, 5000)),
+        )
+        operand = st.one_of(literal, st.sampled_from(["x", "y", "z", "w", "_", "x1", "(x+y)", "x\u00bd"]))
+        operator = st.one_of(
+            st.sampled_from("+-*^/"),
+            st.text("+-*^/", min_size=1, max_size=6),
+            st.sampled_from(["$", "@", ".", "(", ")", " ", "\t", "\u00a0", "\u00e9", "\u00bd"]),
+        )
+        body = "".join(a + b for a, b in data.draw(st.lists(st.tuples(operand, operator), max_size=8)))
+        depth = data.draw(st.integers(0, 101))
+        text = "(" * depth + body + data.draw(operand) + ")" * depth
+        try:
+            assert isinstance(parse_form(text, XYZ), Form)
+        except (ParseError, FormError):
+            pass
 
     def test_roundtrip_serialization(self):
         rng = random.Random(7)
