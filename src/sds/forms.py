@@ -67,16 +67,18 @@ class Form:
         self._set(nvars, degree, den, {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
 
     @classmethod
-    def _from_ints(cls, nvars: int, degree: int, den: int, nums: Mapping[Exponent, int]) -> "Form":
-        """The form sum nums[e]/den * t^e, for den > 0 and exponents already valid."""
+    def _from_ints(cls, nvars: int, degree: int, den: int, nums: Dict[Exponent, int]) -> "Form":
+        """The form sum nums[e]/den * t^e, for den > 0 and exponents already valid.
+        The form takes ownership of `nums`: the caller must not touch it again."""
         self = cls.__new__(cls)
         self._set(nvars, degree, den, nums)
         return self
 
-    def _set(self, nvars: int, degree: int, den: int, nums: Mapping[Exponent, int]) -> None:
+    def _set(self, nvars: int, degree: int, den: int, nums: Dict[Exponent, int]) -> None:
         g = math.gcd(den, *nums.values())
         self.nvars, self.degree, self.den = nvars, degree, den // g
-        self.nums = {e: v // g for e, v in nums.items() if v}
+        # a dict already in lowest terms with no zero is kept as it is
+        self.nums = nums if g == 1 and all(nums.values()) else {e: v // g for e, v in nums.items() if v}
         self._hash = None
 
     @property
@@ -556,9 +558,15 @@ def substitute_pwn(f: Form, perm: Sequence[int]) -> Form:
 
 
 @lru_cache(maxsize=8)
-def _quadratic_pairs(n: int) -> Dict[Exponent, Tuple[int, int]]:
-    """Each degree-2 exponent of n variables mapped to its (i, j), i <= j."""
-    return {tuple((k == i) + (k == j) for k in range(n)): (i, j) for i in range(n) for j in range(i, n)}
+def _quadratic_pairs(n: int) -> tuple:
+    """The degree-2 table of n variables: each exponent mapped to its (i, j),
+    i <= j; the output rows (exponent, a, b, w_a·w_b, 1 + (a == b)), a <= b,
+    with w_a = L/(a+1); and L^2, for L = lcm(1..n)."""
+    big_l = math.lcm(*range(1, n + 1))
+    pairs = {tuple((k == i) + (k == j) for k in range(n)): (i, j) for i in range(n) for j in range(i, n)}
+    rows = tuple((exp, a, b, (big_l // (a + 1)) * (big_l // (b + 1)), 1 + (a == b))
+                 for exp, (a, b) in pairs.items())
+    return pairs, rows, big_l * big_l
 
 
 def _substitute_quadratic(f: Form, perm: Tuple[int, ...]) -> Form:
@@ -566,8 +574,7 @@ def _substitute_quadratic(f: Form, perm: Tuple[int, ...]) -> Form:
     relabelled by perm, goes to U^T·S·U (U upper triangular of ones, the
     Taylor shifts): its 2-D prefix sums P.  The scale gives the numerators
     P_aa·w_a^2/2 (P_aa is even) and P_ab·w_a·w_b, a < b, over f.den·L^2."""
-    n, pairs = f.nvars, _quadratic_pairs(f.nvars)
-    _, weights, big_l_2, _ = _pwn_tables(n, 2)  # weights[a][1] = w_a = L/(a+1)
+    n, (pairs, rows, big_l_2) = f.nvars, _quadratic_pairs(f.nvars)
     s = [[0] * n for _ in range(n)]
     for exp, v in f.nums.items():
         i, j = pairs[exp]
@@ -577,7 +584,7 @@ def _substitute_quadratic(f: Form, perm: Tuple[int, ...]) -> Form:
     prefix = list(accumulate((list(accumulate(row)) for row in s),
                              lambda above, row: list(map(operator.add, above, row))))
     return Form._from_ints(n, 2, f.den * big_l_2, {
-        exp: prefix[a][b] * weights[a][1] * weights[b][1] // (1 + (a == b)) for exp, (a, b) in pairs.items()})
+        exp: prefix[a][b] * w // halve for exp, a, b, w, halve in rows})
 
 
 # ---------------------------------------------------------------------------

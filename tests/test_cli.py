@@ -1,15 +1,21 @@
+import io
 import json
 import os
 import threading
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from sds import cli, engine
 from sds.cli import main
-from sds.corpus import EXAMPLE1_TEXT, EXAMPLE2_TEXT
-from sds.forms import linear_writes
+from sds.corpus import CORPUS_NAMES, EXAMPLE1_TEXT, EXAMPLE2_TEXT
+from sds.forms import linear_writes, parse_form
+
+from helpers import monomials
 
 
 def run(capsys, *argv):
@@ -470,3 +476,155 @@ class TestUsage:
         assert code == 3
         assert err.startswith("error:") and "KeyError" in err
         assert "Traceback" not in err
+
+
+@lru_cache(maxsize=1)
+def example1_certificate():
+    """example1's certificate entries, as `decide --certificate-out` writes them."""
+    vars = ["x", "y", "z"]
+    verdict = engine.yys_decide(parse_form(EXAMPLE1_TEXT, vars), engine.EngineConfig(emit_certificate=True))
+    return [{"chain": list(chain), "form": form.to_text(vars)} for chain, form in verdict.certificate]
+
+
+class TestExitContract:
+    # Each call carries at most one deliberate fault (a bad flag value, source,
+    # variable list, certificate path or extra argument), besides the
+    # certificate file that verify-certificate draws, so that about a third of
+    # the calls get past every check to a verdict, a sample or a verify.
+    # Polynomial text comes from a small grammar: operands and operators
+    # alternate, so that many texts reach the parser's literals and budgets; a
+    # legitimate exponent is at most 6 and every larger one is over MAX_DEGREE,
+    # and the flags' depths, budgets, trials and grids are small, so every call
+    # is short.
+    FAULTS = ["source", "vars", "flag", "certificate-out", "extra"]
+    digit = st.sampled_from("0123456789٣²½")  # ASCII and other digits
+    literal = st.one_of(
+        st.integers(0, 6).map(str),
+        st.integers(10**4, 10**6).map(str),
+        st.builds(lambda k: "1" + "0" * k, st.integers(4, 5000)),
+        st.builds(lambda k, c: "0" * k + c, st.integers(1, 5000), st.sampled_from("0123456")),
+        st.text(digit, min_size=1, max_size=4),
+    )
+    coefficient = st.one_of(st.integers(1, 9).map(str), st.sampled_from(["0", "1/2", "7/30"]),
+                            st.builds(lambda k: "1" + "0" * k, st.integers(0, 5000)))
+    operand = st.one_of(literal, st.sampled_from(["x", "y", "z", "w", "_", "x1", "(x+y)", "(x-2*y+z)", "x½"]))
+    operator = st.one_of(
+        st.sampled_from("+-*^/"),
+        st.text("+-*^/", min_size=1, max_size=4),
+        st.sampled_from(["$", "@", ".", "(", ")", " ", " ", "é", "½"]),
+    )
+
+    def pick(self, data, fault, good, bad):
+        return data.draw(st.sampled_from(bad if fault else good))
+
+    def polynomial(self, data):
+        """Grammar text, or a form of degree 0..4 in x, y, z, nested to 101."""
+        if data.draw(st.sampled_from([True, False, False])):
+            body = "".join(a + b for a, b in data.draw(st.lists(st.tuples(self.operand, self.operator), max_size=4)))
+            body += data.draw(self.operand)
+        else:
+            exps = data.draw(st.lists(st.sampled_from(monomials(3, data.draw(st.integers(0, 4)))), min_size=1, max_size=6))
+            body = "".join(data.draw(st.sampled_from(["+", "-"])) + data.draw(self.coefficient)
+                           + "".join(f"*{v}^{e}" for v, e in zip("xyz", exp) if e) for exp in exps)
+        depth = data.draw(st.sampled_from([0, 0, 0, 1, 100, 101]))
+        return "(" * depth + body + ")" * depth
+
+    def source(self, data, tmp_path, text, fault):
+        """The polynomial inline (after "--", as it may start with '-') or from a
+        file; with the fault, absent, missing or not UTF-8.  It goes last."""
+        path = tmp_path / "poly.txt"
+        how = self.pick(data, fault, ["inline", "inline", "file"], ["bad-file", "missing-file", "none"])
+        if how == "file":
+            path.write_text(text, encoding="utf-8")
+        elif how == "bad-file":
+            path.write_bytes(b"x^2\xff\xfe")
+        elif how == "missing-file":
+            path = tmp_path / "absent.txt"
+        return {"inline": ["--", text], "none": []}.get(how, ["--file", str(path)])
+
+    def certificate(self, data, tmp_path):
+        """A certificate file: example1's, tampered with, malformed, not UTF-8, or missing."""
+        path = tmp_path / "cert.json"
+        kind = data.draw(st.sampled_from(["valid", "tampered", "tampered", "raw", "bad-bytes", "missing"]))
+        entries = [dict(entry) for entry in example1_certificate()]
+        if kind == "tampered":
+            k = data.draw(st.integers(0, len(entries) - 1))
+            how = data.draw(st.sampled_from(["drop", "duplicate", "chain", "form", "extend", "long"]))
+            if how == "drop":
+                del entries[k]
+            elif how == "duplicate":
+                entries.append(entries[k])
+            elif how == "chain":
+                entries[k]["chain"] = data.draw(st.lists(
+                    st.one_of(st.integers(-2, 8), st.sampled_from([1.5, True, "1", None, 10**30])), max_size=4))
+            elif how == "form":
+                entries[k]["form"] = self.polynomial(data)
+            elif how == "extend":
+                entries[k]["chain"] = entries[k]["chain"] + [data.draw(st.integers(1, 7))]
+            else:
+                entries[k]["chain"] = [1] * data.draw(st.sampled_from([5000, 5001]))
+        if kind in ("valid", "tampered"):
+            path.write_text(json.dumps(entries), encoding="utf-8")
+        elif kind == "raw":
+            path.write_text(data.draw(st.sampled_from(
+                ["", "{", "[", "null", "5", "{}", "[1]", '[{"chain": [1]}]', '[{"chain": "1", "form": "x"}]'])))
+        elif kind == "bad-bytes":
+            path.write_bytes(b'[{"chain": [], "form": "x\xff"}]')
+        else:
+            path = tmp_path / "absent.json"
+        return ["--certificate", str(path)]
+
+    def engine_flags(self, data, tmp_path, fault):
+        flag = fault == "flag" and data.draw(st.sampled_from(["--max-depth", "--node-budget", "--negativity-mode"]))
+        flags = ["--max-depth", self.pick(data, flag == "--max-depth", ["1", "2", "3"], ["0", "-1", "x"]),
+                 "--node-budget", self.pick(data, flag == "--node-budget", ["24", "60", "100"], ["-1", "0", "5"])]
+        if flag == "--negativity-mode" or data.draw(st.booleans()):
+            flags += ["--negativity-mode", self.pick(data, flag == "--negativity-mode", ["value", "coeffs"], ["both"])]
+        for option in ("--compat", "--no-dedup", "--no-root-check"):
+            if data.draw(st.booleans()):
+                flags.append(option)
+        if data.draw(st.booleans()):
+            flags += ["--format", data.draw(st.sampled_from(["text", "json"]))]
+        out = self.pick(data, fault == "certificate-out", [None, str(tmp_path / "out.json")], ["", str(tmp_path)])
+        return flags if out is None else flags + ["--certificate-out", out]
+
+    def argv(self, data, tmp_path):
+        fault = data.draw(st.one_of(st.none(), st.sampled_from(self.FAULTS)))
+        vars = ["--vars", self.pick(data, fault == "vars", ["x,y,z", "x,y,z,w"], ["x,y", "x,x", ",", "x,1y"])]
+        command = data.draw(st.sampled_from(["decide", "corpus", "oracle", "subdivision", "verify-certificate"]))
+        if command == "corpus":
+            argv = [command, self.pick(data, fault == "source", CORPUS_NAMES, ["example4"])]
+            argv += self.engine_flags(data, tmp_path, fault)
+        elif command == "subdivision":
+            flag = fault == "flag" and data.draw(st.sampled_from(["--nvars", "--depth"]))
+            argv = [command, "--nvars", self.pick(data, flag == "--nvars", ["1", "2", "3"], ["-1", "0", "9", "x"]),
+                    "--depth", self.pick(data, flag == "--depth", ["0", "1", "2"], ["-1", "1000000", "x"])]
+        elif command == "verify-certificate":
+            text = data.draw(st.one_of(st.just(EXAMPLE1_TEXT), st.builds(self.polynomial, st.just(data))))
+            argv = [command, *vars, *self.certificate(data, tmp_path)]
+            argv += self.source(data, tmp_path, text, fault == "source")
+        else:
+            argv = [command, *vars]
+            if command == "decide":
+                argv += self.engine_flags(data, tmp_path, fault)
+            elif data.draw(st.booleans()):
+                argv += ["--grid-denominator", self.pick(data, fault == "flag", ["1", "3", "8"], ["-1", "0", "x"])]
+            else:
+                argv += ["--random-trials", self.pick(data, fault == "flag", ["1", "50"], ["-1", "0"]),
+                         "--seed", data.draw(st.sampled_from(["0", "7", "-3"]))]
+            argv += self.source(data, tmp_path, self.polynomial(data), fault == "source")
+        return argv + self.pick(data, fault == "extra", [[]], [["--bogus"], ["extra"], ["--"], ["-h"]])
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_in_contract_without_a_traceback(self, tmp_path, data):
+        argv = self.argv(data, tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors exit 3, -h exits 0
+                code = exc.code
+        event(f"{argv[0]} exit {code}")  # the mix shows under --hypothesis-show-statistics
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), (argv, err.getvalue())

@@ -380,7 +380,9 @@ def fraction_value(f, p):
 
 coordinates = st.one_of(
     st.integers(-30, 30),
-    st.fractions(min_value=-20, max_value=20, max_denominator=40),
+    # every p/q with q <= 40 and |p/q| <= 20, as st.fractions(-20, 20,
+    # max_denominator=40) draws them: t·q // 40 takes every value in -20q..20q
+    st.builds(lambda t, q: Fraction(t * q // 40, q), st.integers(-800, 800), st.integers(1, 40)),
     st.tuples(st.integers(-30, 30), st.integers(1, 40)).map(lambda t: f"{t[0]}/{t[1]}"),
 )
 
@@ -400,6 +402,36 @@ class TestIntegerForm:
         assert f.den > 0 and math.gcd(f.den, *f.nums.values()) == 1
         assert all(f.nums.values())
         assert f.terms == {e: Fraction(v, den) for e, v in nums.items() if v}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_constructor_never_aliases_its_input(self, data):
+        n = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(0, 5))
+        terms = data.draw(st.dictionaries(st.sampled_from(monomials(n, d)),
+                                          st.integers(-10**6, 10**6).filter(bool), min_size=1))
+        f = Form(n, d, terms)
+        before = (f.den, dict(f.nums), f.key())
+        for e in list(terms):
+            terms[e] += 1
+        terms[monomials(n, d)[0]] = 7
+        terms.popitem()
+        assert (f.den, f.nums, f.key()) == before
+        assert f == Form(n, d, {e: Fraction(v, f.den) for e, v in before[1].items()})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_from_ints_keeps_a_canonical_dict(self, data):
+        n = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(0, 5))
+        den = data.draw(st.integers(1, 10**6))
+        nums = data.draw(st.dictionaries(st.sampled_from(monomials(n, d)), st.integers(-10**6, 10**6).filter(bool)))
+        g = math.gcd(den, *nums.values())
+        den, nums = den // g, {e: v // g for e, v in nums.items()}  # lowest terms, no zero
+        entries = dict(nums)
+        f = Form._from_ints(n, d, den, nums)
+        assert f.den == den and f.nums == entries
+        assert f == Form(n, d, {e: Fraction(v, den) for e, v in entries.items()})
 
     @settings(max_examples=150, deadline=None)
     @given(forms())
@@ -434,7 +466,9 @@ class TestIntegerForm:
 wide_coordinates = st.one_of(
     st.just(0),
     st.integers(-10**6, 10**6),
-    st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**12),
+    # every p/q with q <= 10^12 and |p/q| <= 10^3, as st.fractions(-10**3, 10**3,
+    # max_denominator=10**12) draws them
+    st.builds(lambda t, q: Fraction(t * q // 10**12, q), st.integers(-10**15, 10**15), st.integers(1, 10**12)),
 )
 
 
