@@ -15,8 +15,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .corpus import CORPUS_NAMES, CORPUS_VARS, corpus_text
 from .engine import (
@@ -29,8 +28,7 @@ from .engine import (
     yys_decide,
 )
 from .forms import NEGATIVITY_MODES, Form, FormError, parse_form
-from .geometry import cell_count, cell_of_chain, squared_diameter
-from .matrices import check_length, pwn_perms
+from .geometry import _squared_diameter, walk_cells
 from .oracle import GridSpec, grid_min, random_negative_search
 
 EXIT_PSD = 0
@@ -100,9 +98,21 @@ def _read_source(args: argparse.Namespace) -> str:
     return args.polynomial
 
 
-def _print(args: argparse.Namespace, payload: object, text: str) -> None:
-    """The one place that picks JSON or text for a subcommand's result."""
-    print(json.dumps(payload, indent=2) if args.format == "json" else text)
+def _print(args: argparse.Namespace, payload: object, text: Union[str, Callable[[dict], str]]) -> None:
+    """The one place that picks JSON or text for a subcommand's result.  Many
+    items come as a non-empty iterator, `text` giving each one's line; each is
+    printed as it comes, as an element of one JSON list or as its line."""
+    if not callable(text):
+        print(json.dumps(payload, indent=2) if args.format == "json" else text)
+    elif args.format == "text":
+        for item in payload:
+            print(text(item))
+    else:
+        start = "["
+        for item in payload:
+            print(start, json.dumps(item, indent=2).replace("\n", "\n  "), sep="\n  ", end="")
+            start = ","
+        print("\n]")
 
 
 def _strs(values: Sequence[Fraction]) -> List[str]:
@@ -232,21 +242,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_subdivision(args: argparse.Namespace) -> int:
-    n = args.nvars
-    cell_count(n, args.depth)  # refuses past the cell budget before any cell is built
-    check_length(args.depth)  # n = 1 has one cell of every depth
-    cells = []
-    for chain in product(range(1, len(pwn_perms(n)) + 1), repeat=args.depth):
-        cell = cell_of_chain(chain, n)
-        cells.append(
-            {
-                "chain": list(chain),
-                "vertices": [_strs(v) for v in cell.vertices],
-                "squared_diameter": str(squared_diameter(cell)),
-            }
-        )
-    text = "\n".join(f"{c['chain']}: diam^2 = {c['squared_diameter']}" for c in cells)
-    _print(args, cells, text)
+    def cell(chain, verts):  # a vertex's coordinates sum to 1, so its integers sum to the denominator
+        den = sum(verts[0])
+        return {"chain": list(chain), "vertices": [[str(Fraction(x, den)) for x in v] for v in verts],
+                "squared_diameter": str(Fraction(_squared_diameter(verts), den * den))}
+    _print(args, (cell(*c) for c in walk_cells(args.nvars, args.depth)),
+           lambda c: f"{c['chain']}: diam^2 = {c['squared_diameter']}")
     return EXIT_PSD
 
 
@@ -307,11 +308,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # every sds error class is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        message = str(exc)
     except Exception as exc:  # last resort: no input may end in a traceback
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        exc.__traceback__ = None  # it pins the failed call's locals, a MemoryError's among them
+        message = f"internal error: {type(exc).__name__}: {exc}"
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except Exception:  # stderr gone, or memory still short: the exit code still says error
+        pass
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

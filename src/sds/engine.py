@@ -27,6 +27,7 @@ from .forms import (
     NEGATIVITY_MODES,
     Point,
     VALUE_MODE,
+    check_substitution_size,
     evaluate,
     is_trivially_negative,
     is_trivially_positive,
@@ -129,6 +130,7 @@ def yys_decide(f: Form, cfg: EngineConfig = EngineConfig(), stats: Optional[Engi
     if is_trivially_positive(f):
         cert = ((((), f)),) if cfg.emit_certificate else None
         return PositiveSemidefinite(depth=0, certificate=cert)
+    check_substitution_size(n, f.degree)  # before any child, whatever its route
 
     # (chain, form) pairs in lex chain order: children visited parent by parent
     # are in that order too.  With dedup a repeated form stays only for its

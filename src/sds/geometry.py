@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from itertools import combinations
+from typing import Iterator, List, Sequence, Tuple
 
 from .forms import Point, in_simplex
 from .matrices import Chain, chain_vertices, check_length, pwn_perms, pwn_preimage, pwn_step
@@ -42,13 +43,7 @@ def cell_of_chain(chain: Sequence[int], n: int) -> Cell:
 
 
 def _squared_diameter(vs: Sequence[Point]):
-    best = 0
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            d = sum((a - b) ** 2 for a, b in zip(vs[i], vs[j]))
-            if d > best:
-                best = d
-    return best
+    return max((sum((a - b) ** 2 for a, b in zip(u, v)) for u, v in combinations(vs, 2)), default=0)
 
 
 def squared_diameter(cell: Cell) -> Fraction:
@@ -70,22 +65,26 @@ def cell_count(n: int, m: int) -> int:
     return count
 
 
-def max_diameter_at_depth(n: int, m: int) -> Fraction:
-    """Maximum squared diameter over all (n!)^m depth-m cells.
-
-    Walks the chain tree depth-first on integer vertices over lcm(1..n)^m.
-    """
+def walk_cells(n: int, m: int) -> Iterator[Tuple[Chain, Tuple[Tuple[int, ...], ...]]]:
+    """Every depth-m cell as (chain, its integer vertices over lcm(1..n)^m, as
+    `chain_vertices` gives them), depth-first in lexicographic chain order.
+    Before the first cell it refuses (n!)^m past the cell budget (`cell_count`),
+    then m past `check_length`, then n past `pwn_perms`."""
     cell_count(n, m)
+    check_length(m)  # n = 1 has one cell of every depth
     perms = pwn_perms(n)
-    verts, _ = chain_vertices((), n)
-    best = 0
-    stack = [(verts, m if n > 1 else 0)]  # n = 1: one point at every depth
+    stack = [((), chain_vertices((), n)[0])]  # at most m·n! cells at a time
     while stack:
-        verts, left = stack.pop()
-        if left:
-            stack.extend((pwn_step(verts, p), left - 1) for p in perms)
+        chain, verts = stack.pop()
+        if len(chain) == m:
+            yield chain, verts
         else:
-            best = max(best, _squared_diameter(verts))
+            stack.extend(((*chain, i), pwn_step(verts, perms[i - 1])) for i in range(len(perms), 0, -1))
+
+
+def max_diameter_at_depth(n: int, m: int) -> Fraction:
+    """Maximum squared diameter over all (n!)^m depth-m cells of `walk_cells`."""
+    best = max(_squared_diameter(verts) for _, verts in walk_cells(n, m))
     return Fraction(best, math.lcm(*range(1, n + 1)) ** (2 * m))
 
 

@@ -10,7 +10,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from sds import cli, engine
+from sds import cli, engine, geometry
 from sds.cli import main
 from sds.corpus import CORPUS_NAMES, EXAMPLE1_TEXT, EXAMPLE2_TEXT
 from sds.forms import linear_writes, parse_form
@@ -87,6 +87,23 @@ class TestDecide:
         assert time.perf_counter() - start < 1
         assert code == 3 and out == ""
         assert err.startswith("error:") and "internal error" not in err
+
+    @pytest.mark.parametrize("text, vars, flags, code", [
+        ("x^200*y^200*z^200*w^200*u^200-x^1000", "x,y,z,w,u", [], 3),
+        ("x^999*y-2*z^1000", "x,y,z,w", [], 1),  # negative at the root's barycenter
+        ("x^999*y-2*z^1000", "x,y,z,w", ["--compat"], 3),  # no root check
+        ("x^1000+y^1000+z^1000+w^1000", "x,y,z,w", [], 0)])
+    def test_substitution_budget_exit3_before_the_kernel(self, capsys, monkeypatch, text, vars, flags, code):
+        monkeypatch.setattr(engine, "substitute_pwn", lambda *a: pytest.fail("substitute_pwn called"))
+        start = time.perf_counter()
+        got, out, err = run(capsys, "decide", text, "--vars", vars, *flags)
+        assert time.perf_counter() - start < 1
+        assert got == code
+        if code == 3:
+            assert out == "" and err.startswith("error: a degree-1000 form in ")
+            assert err.endswith(" monomials, over the substitution budget of 1500000 terms\n")
+        else:
+            assert out.endswith("(depth 0)\n") or "counterexample at depth 0" in out
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "form.txt"
@@ -431,12 +448,26 @@ class TestSubdivision:
 
     def test_cell_budget_refused_before_any_cell(self, capsys, monkeypatch):
         built = []
-        monkeypatch.setattr(cli, "cell_of_chain", lambda *a: built.append(a))
+        monkeypatch.setattr(geometry, "pwn_step", lambda *a: built.append(a))  # the walk's step
         # (3!)^8 = 1,679,616 cells, past geometry.DEFAULT_CELL_BUDGET
         code, out, err = run(capsys, "subdivision", "--nvars", "3", "--depth", "8")
         assert code == 3
         assert err.startswith("error:") and "budget" in err
         assert out == "" and built == []
+
+    def test_cells_streamed_in_small_memory(self):
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        tracemalloc.start()
+        try:
+            with redirect_stdout(Discard()):
+                code = main(["subdivision", "--nvars", "3", "--depth", "5", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 2**20  # 7,776 cells: held all at once, with their text, 27 MiB
 
 
 class TestUsage:
@@ -467,6 +498,22 @@ class TestUsage:
         assert code == 3
         assert "no polynomial" in err
 
+    @pytest.mark.parametrize("stderr_works", [True, False])
+    def test_memory_error_exit3_even_without_stderr(self, capsys, monkeypatch, stderr_works):
+        def exhaust(args):
+            raise MemoryError
+
+        class FailingStderr(io.StringIO):
+            def write(self, text):  # the first write fails, as printing can when memory is short
+                raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_decide", exhaust)
+        err = io.StringIO() if stderr_works else FailingStderr()
+        with redirect_stderr(err):
+            code = main(["decide", "x", "--vars", "x"])
+        assert code == 3
+        assert err.getvalue() == ("error: internal error: MemoryError: \n" if stderr_works else "")
+
     def test_unexpected_exception_exit3_without_traceback(self, capsys, monkeypatch):
         def boom(args):
             raise KeyError("boom")
@@ -495,7 +542,9 @@ class TestExitContract:
     # alternate, so that many texts reach the parser's literals and budgets; a
     # legitimate exponent is at most 6 and every larger one is over MAX_DEGREE,
     # and the flags' depths, budgets, trials and grids are small, so every call
-    # is short.
+    # is short.  A quarter of the decide calls instead get monomials of degree
+    # 500 or 1000 in 4 to 7 variables, with a node budget of 7!: the root check
+    # decides them or the substitution budget refuses them at once.
     FAULTS = ["source", "vars", "flag", "certificate-out", "extra"]
     digit = st.sampled_from("0123456789٣²½")  # ASCII and other digits
     literal = st.one_of(
@@ -528,6 +577,17 @@ class TestExitContract:
                            + "".join(f"*{v}^{e}" for v, e in zip("xyz", exp) if e) for exp in exps)
         depth = data.draw(st.sampled_from([0, 0, 0, 1, 100, 101]))
         return "(" * depth + body + ")" * depth
+
+    def high_degree(self, data):
+        """A variable list of 4 to 7 names, and a sum of 1 to 3 monomials of degree 500 or 1000 in them."""
+        names = "xyzwuvs"[:data.draw(st.integers(4, 7))]
+        d = data.draw(st.sampled_from([500, 1000]))
+        body = ""
+        for _ in range(data.draw(st.integers(1, 3))):
+            cuts = sorted(data.draw(st.lists(st.integers(0, d), min_size=len(names) - 1, max_size=len(names) - 1)))
+            body += data.draw(st.sampled_from(["+", "-"])) + data.draw(self.coefficient) + "".join(
+                f"*{v}^{b - a}" for v, a, b in zip(names, [0, *cuts], [*cuts, d]) if b > a)
+        return ",".join(names), body
 
     def source(self, data, tmp_path, text, fault):
         """The polynomial inline (after "--", as it may start with '-') or from a
@@ -599,6 +659,10 @@ class TestExitContract:
             flag = fault == "flag" and data.draw(st.sampled_from(["--nvars", "--depth"]))
             argv = [command, "--nvars", self.pick(data, flag == "--nvars", ["1", "2", "3"], ["-1", "0", "9", "x"]),
                     "--depth", self.pick(data, flag == "--depth", ["0", "1", "2"], ["-1", "1000000", "x"])]
+        elif command == "decide" and data.draw(st.sampled_from([False, False, False, True])):
+            names, text = self.high_degree(data)
+            argv = [command, "--vars", names, *self.engine_flags(data, tmp_path, fault), "--node-budget", "5040"]
+            argv += self.source(data, tmp_path, text, fault == "source")
         elif command == "verify-certificate":
             text = data.draw(st.one_of(st.just(EXAMPLE1_TEXT), st.builds(self.polynomial, st.just(data))))
             argv = [command, *vars, *self.certificate(data, tmp_path)]

@@ -556,6 +556,30 @@ class TestSubstitutePwn:
             substitute_pwn(f, perm)
 
 
+class TestSubstitutionBudget:
+    def test_budget_is_the_monomial_count(self, monkeypatch):
+        # C(6, 2) = 15 monomials of degree 4 in 3 variables pass, the 21 of degree 5 do not;
+        # the kernel checks on a cache miss of its (n, d) tables, so the caches start cold
+        monkeypatch.setattr(forms_module, "MAX_SUBSTITUTION_TERMS", 15)
+        forms_module._pwn_tables.cache_clear()
+        try:
+            f = parse_form("x^4 - 2*y^2*z^2", XYZ)
+            assert substitute_pwn(f, (2, 3, 1)) == substitute_linear(f, sds_matrix((2, 3, 1)))
+            g = parse_form("x^5 - y^5", XYZ)
+            for substitute in (substitute_pwn, lambda f, p: substitute_linear(f, sds_matrix(p))):
+                with pytest.raises(FormError, match="a degree-5 form in 3 variables has 21 monomials, "
+                                                    "over the substitution budget of 15 terms"):
+                    substitute(g, (2, 3, 1))
+        finally:
+            forms_module._pwn_tables.cache_clear()
+
+    def test_generic_expansion_refused_before_it_starts(self):
+        # the identity rows would expand this form at once: the refusal is from (n, d) alone
+        f = parse_form("x^200*y^200*z^200*w^200*u^200 - x^1000", list("xyzwu"))
+        with pytest.raises(FormError, match="42084793751 monomials, over the substitution budget of 1500000"):
+            substitute_linear(f, SubMatrix.identity(5))
+
+
 class TestSignPredicates:
     def test_trivially_positive(self):
         assert is_trivially_positive(parse_form("x^2 + x*y", XY))

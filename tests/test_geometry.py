@@ -15,8 +15,9 @@ from sds.geometry import (
     locate_point,
     max_diameter_at_depth,
     squared_diameter,
+    walk_cells,
 )
-from sds.matrices import MatrixError
+from sds.matrices import MatrixError, chain_vertices
 
 from helpers import chains
 from reference import compose_chain, enumerate_pwn
@@ -198,6 +199,13 @@ class TestAgainstMatrixReference:
         brute = max(squared_diameter(cell_of_chain(chain, n))
                     for chain in product(range(1, math.factorial(n) + 1), repeat=m))
         assert max_diameter_at_depth(n, m) == brute
+
+    @settings(max_examples=16, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 3))
+    def test_walk_is_every_chain_in_order_on_its_vertices(self, n, m):
+        walked = list(walk_cells(n, m))
+        assert [chain for chain, _ in walked] == list(product(range(1, math.factorial(n) + 1), repeat=m))
+        assert all(verts == chain_vertices(chain, n)[0] for chain, verts in walked)
 
     @pytest.mark.parametrize("chain", [(7,), (0,), (1, 7)])
     def test_bad_chain_index(self, chain):
